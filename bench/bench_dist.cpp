@@ -90,8 +90,8 @@ CycleStats run_fleet(const topo::MetadataService& metadata,
 
   // The mid-cycle kill comes from a short-lived helper child so the
   // coordinator loop itself never has to juggle a timer. The delay must
-  // outlast contract planning (which precedes the first assignment), so
-  // the caller sizes it from a measured clean-cycle wall time.
+  // land mid-cycle, so the caller sizes it from a measured clean-cycle wall
+  // time.
   pid_t killer = -1;
   if (kill_delay_ms > 0) {
     const pid_t victim = fleet.pids().front();

@@ -21,6 +21,7 @@
 #include "dist/transport.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "rcdc/contract_gen.hpp"
 #include "rcdc/fib_source.hpp"
 #include "rcdc/flaky_fib_source.hpp"
 #include "rcdc/pipeline.hpp"
@@ -38,12 +39,13 @@ namespace {
 /// coordinator's next-cycle story, not this one.
 class CrashyWorker final : public dcv::dist::Transport {
  public:
-  CrashyWorker(std::string id, std::uint64_t epoch, double crash_rate,
-               std::uint64_t seed)
+  CrashyWorker(std::string id, const dcv::topo::MetadataService& metadata,
+               double crash_rate, std::uint64_t seed)
       : id_(std::move(id)), crash_rate_(crash_rate), rng_(seed) {
     dcv::dist::HelloMsg hello;
     hello.worker_id = id_;
-    hello.topology_epoch = epoch;
+    hello.topology_epoch = metadata.epoch();
+    hello.topology_digest = dcv::rcdc::expected_topology_digest(metadata);
     outbox_.push_back(encode(hello));
   }
 
@@ -202,7 +204,7 @@ int main(int argc, char** argv) {
         dist::Coordinator coordinator(metadata, dist_config);
         for (std::size_t i = 0; i < workers; ++i) {
           coordinator.add_worker(std::make_unique<CrashyWorker>(
-              "w" + std::to_string(i), metadata.epoch(), rate,
+              "w" + std::to_string(i), metadata, rate,
               /*seed=*/100000 * static_cast<std::uint64_t>(trial) +
                   1000 * static_cast<std::uint64_t>(100 * rate) +
                   10 * workers + i));

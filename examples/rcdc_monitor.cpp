@@ -59,7 +59,7 @@ int main() {
                                       config);
     std::size_t printed = 0;
     pipeline.set_alert_sink([&](const rcdc::Violation& v,
-                                const rcdc::RiskAssessment& assessment) {
+                                const rcdc::RiskAssessment&) {
       if (printed++ >= 6) return;  // sample the alert stream
       const auto decision = triage.triage(v);
       std::cout << "  alert: " << topology.device(v.device).name << " "

@@ -6,6 +6,7 @@
 
 #include "obs/metrics_serde.hpp"
 #include "obs/span_serde.hpp"
+#include "rcdc/contract_gen.hpp"
 
 namespace dcv::dist {
 
@@ -25,7 +26,6 @@ Coordinator::Coordinator(const topo::MetadataService& metadata,
                          CoordinatorConfig config)
     : metadata_(&metadata),
       config_(config),
-      generator_(metadata, config.contract_options),
       clock_(config.clock != nullptr ? config.clock : &default_clock_),
       merger_(std::make_unique<obs::TraceMerger>(config.trace, "coordinator")) {
   obs::MetricsRegistry* metrics = config_.metrics;
@@ -43,8 +43,8 @@ Coordinator::Coordinator(const topo::MetadataService& metadata,
         {{"reason", "shard_deadline"}});
     workers_rejected_ = &metrics->counter(
         "dcv_dist_workers_rejected_total",
-        "Connections dropped before admission (bad hello, protocol or "
-        "topology-epoch mismatch, handshake timeout)");
+        "Connections dropped before admission (bad hello, protocol, "
+        "topology-epoch or topology-digest mismatch, handshake timeout)");
     shards_validated_ = &metrics->counter(
         "dcv_dist_shards_total", "Shard cycle outcomes",
         {{"status", "validated"}});
@@ -112,8 +112,11 @@ std::size_t Coordinator::pump(std::size_t target_workers,
 void Coordinator::handle_hello(std::size_t worker_index, const Frame& frame) {
   Worker& worker = workers_[worker_index];
   const std::optional<HelloMsg> hello = decode_hello(frame.payload);
+  // The worker plans contracts from its own copy of the expected topology:
+  // admit it only if that plan is this coordinator's.
   if (!hello.has_value() || hello->protocol != kProtocolVersion ||
-      hello->topology_epoch != metadata_->epoch()) {
+      hello->topology_epoch != metadata_->epoch() ||
+      hello->topology_digest != rcdc::expected_topology_digest(*metadata_)) {
     if (workers_rejected_ != nullptr) workers_rejected_->inc();
     lose_worker(worker_index, "rejected");
     return;
@@ -215,14 +218,7 @@ void Coordinator::handle_result(std::size_t worker_index, ResultMsg msg) {
   }
   // Feed the shard's wall time back into the carving cost model: the next
   // cycle sizes shards by estimated time, not device count.
-  {
-    std::vector<topo::DeviceId> shard_devices;
-    shard_devices.reserve(shard.devices.size());
-    for (const DeviceWork& work : shard.devices) {
-      shard_devices.push_back(work.device);
-    }
-    balancer_.record(shard_devices, msg.elapsed_ns);
-  }
+  balancer_.record(shard.devices, msg.elapsed_ns);
   if (config_.metrics != nullptr && !msg.registry_blob.empty()) {
     // Fold the worker's own registry into ours under {worker=<id>}; a
     // malformed blob is dropped (the validation result still counts).
@@ -404,7 +400,10 @@ bool Coordinator::assign_pending_shards() {
     assign.shard_id = shard.id;
     assign.attempt = shard.attempt;
     assign.plan_epoch = metadata_->epoch();
-    assign.devices = shard.devices;
+    assign.devices.reserve(shard.devices.size());
+    for (const topo::DeviceId device : shard.devices) {
+      assign.devices.push_back({device, verdicts_.fingerprint(device)});
+    }
     assign.cycle_id = current_cycle_id_;
     assign.parent_span = shard.assign_span;
     assign.send_ns = static_cast<std::uint64_t>(now.time_since_epoch().count());
@@ -445,19 +444,15 @@ DistributedSummary Coordinator::run_cycle() {
   std::erase_if(workers_, [](const Worker& w) { return w.dead; });
   for (Worker& worker : workers_) worker.active_shard.reset();
 
-  // Carve the device space into shards, each carrying its devices' full
-  // contract sets from the coordinator-owned plan. Shards are cut at a
-  // per-shard *cost* budget OR at a wire-size budget, whichever comes
-  // first: spine/leaf devices of a big fabric can each carry thousands of
-  // contracts, and one assign frame must always stay far below the
-  // kMaxPayload cap that workers (rightly) refuse to decode.
-  //
-  // The cost budget comes from the feedback balancer: per-device EWMA
-  // estimates derived from prior cycles' shard wall times. Before any
-  // feedback exists every device costs the same and the carve degrades to
-  // the equal-device-count chunking used previously.
-  const rcdc::ContractPlanPtr plan = generator_.plan();
+  // Cached verdicts hold only while the plan they were checked against
+  // does.
   const auto& devices = metadata_->topology().devices();
+  verdicts_.adopt(metadata_->epoch(), devices.size());
+
+  // Carve the device space into shards at a per-shard *cost* budget from
+  // the feedback balancer: per-device EWMA estimates derived from prior
+  // cycles' shard wall times. Before any feedback exists every device
+  // costs the same and the carve is equal-device-count chunking.
   const std::size_t shard_count = std::max<std::size_t>(
       1, static_cast<std::size_t>(config_.shards_per_worker) *
              std::max<std::size_t>(1, live_workers()));
@@ -465,41 +460,22 @@ DistributedSummary Coordinator::run_cycle() {
   for (const auto& device : devices) total_cost += balancer_.cost(device.id);
   const double cost_budget =
       total_cost / static_cast<double>(std::max<std::size_t>(1, shard_count));
-  constexpr std::size_t kShardByteBudget = 8u << 20;  // 1/8 of kMaxPayload
   shards_.clear();
   pending_shards_.clear();
   Shard shard;
-  std::size_t shard_bytes = 0;
   double shard_cost = 0.0;
-  const auto cut_shard = [this, &shard, &shard_bytes, &shard_cost] {
+  const auto cut_shard = [this, &shard, &shard_cost] {
     if (shard.devices.empty()) return;
     shard.id = static_cast<std::uint32_t>(shards_.size());
     shards_.push_back(std::move(shard));
     shard = Shard{};
-    shard_bytes = 0;
     shard_cost = 0.0;
   };
   for (const auto& device : devices) {
-    DeviceWork work;
-    work.device = device.id;
-    const std::span<const rcdc::Contract> contracts =
-        plan->contracts_for(device.id);
-    work.contracts.assign(contracts.begin(), contracts.end());
-    // Wire cost: device id + contract count, then per contract kind(1) +
-    // prefix(5) + hop count(4) + hops(4 each) + mode(1) + min(8) + allow(1).
-    std::size_t work_bytes = 8;
-    for (const rcdc::Contract& contract : work.contracts) {
-      work_bytes += 20 + 4 * contract.expected_next_hops.size();
-    }
     // Cut *before* exceeding the budget (uniform costs: this is exactly the
-    // old `size >= ceil(n / shard_count)` device-count cut).
-    if (!shard.devices.empty() &&
-        (shard_cost >= cost_budget ||
-         shard_bytes + work_bytes > kShardByteBudget)) {
-      cut_shard();
-    }
-    shard.devices.push_back(std::move(work));
-    shard_bytes += work_bytes;
+    // `size >= ceil(n / shard_count)` device-count cut).
+    if (shard_cost >= cost_budget) cut_shard();
+    shard.devices.push_back(device.id);
     shard_cost += balancer_.cost(device.id);
   }
   cut_shard();
@@ -560,13 +536,7 @@ DistributedSummary Coordinator::finish_cycle(
       summary.merged.devices_stale += result.devices_stale;
       summary.merged.retries += result.retries;
       summary.merged.breaker_opens += result.breaker_opens;
-      summary.merged.violations_degraded += result.violations_degraded;
-      summary.merged.violations.insert(summary.merged.violations.end(),
-                                       result.violations.begin(),
-                                       result.violations.end());
-      for (const auto& [device, fingerprint] : result.fingerprints) {
-        fingerprints_[device] = fingerprint;
-      }
+      merge_result(*shard.result, summary);
     } else {
       // Failed shard: its devices were never validated; count every one
       // against coverage, exactly like per-device fetch failures.
@@ -600,6 +570,45 @@ DistributedSummary Coordinator::finish_cycle(
   if (cycle_coverage_ != nullptr) cycle_coverage_->set(coverage);
   std::erase_if(workers_, [](const Worker& w) { return w.dead; });
   return summary;
+}
+
+void Coordinator::merge_result(ResultMsg& result,
+                               DistributedSummary& summary) {
+  // The worker emits violations in device order; a device's fresh verdict
+  // is its run of them. Violations of devices it did not report as verified
+  // cannot be attributed and are dropped.
+  std::vector<rcdc::Violation>& fresh = result.violations;
+  const auto by_device = [](const rcdc::Violation& a,
+                            const rcdc::Violation& b) {
+    return a.device < b.device;
+  };
+  std::stable_sort(fresh.begin(), fresh.end(), by_device);
+  const std::size_t device_count = metadata_->topology().device_count();
+  for (const DeviceReport& report : result.reports) {
+    if (report.device >= device_count) continue;
+    if (report.replayed) {
+      // Only a verdict this coordinator holds can be replayed; a claim
+      // against anything else leaves the device unvalidated.
+      if (!verdicts_.hit(report.device, report.fingerprint)) {
+        ++summary.merged.devices_failed;
+        continue;
+      }
+    } else {
+      rcdc::Violation key;
+      key.device = report.device;
+      const auto [first, last] =
+          std::equal_range(fresh.begin(), fresh.end(), key, by_device);
+      verdicts_.store(report.device, report.fingerprint,
+                      {std::make_move_iterator(first),
+                       std::make_move_iterator(last)});
+    }
+    const rcdc::VerdictCache::Replay verdict =
+        verdicts_.replay(report.device, report.degraded);
+    summary.merged.violations.insert(summary.merged.violations.end(),
+                                     verdict.violations.begin(),
+                                     verdict.violations.end());
+    summary.merged.violations_degraded += verdict.violations_degraded;
+  }
 }
 
 void Coordinator::shutdown_workers() {

@@ -8,7 +8,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "dist/clock_sync.hpp"
@@ -19,9 +18,9 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_merge.hpp"
-#include "rcdc/contract_gen.hpp"
 #include "rcdc/resilient_fib_source.hpp"
 #include "rcdc/validator.hpp"
+#include "rcdc/verdict_cache.hpp"
 #include "topology/metadata.hpp"
 
 namespace dcv::dist {
@@ -51,7 +50,6 @@ struct CoordinatorConfig {
   /// of loss/reassignment smaller than a whole worker's load and lets
   /// fast workers steal from the queue.
   std::uint32_t shards_per_worker = 4;
-  rcdc::ContractGenOptions contract_options{};
   /// When non-null (must outlive the coordinator), receives dcv_dist_*
   /// series plus every worker's merged registry labeled {worker=<id>}.
   obs::MetricsRegistry* metrics = nullptr;
@@ -126,9 +124,18 @@ struct FleetReadinessRules {
 };
 
 /// The distribution layer of the paper's §2.6 deployment story: one
-/// coordinator owns contract planning and shard assignment; N worker
-/// processes each run fetch→validate over their shard and stream results
-/// back. The coordinator is the only component that sees the whole run.
+/// coordinator owns shard assignment and the fleet's verdict cache; N
+/// worker processes each plan contracts from the same expected topology
+/// (checked at the handshake by epoch and digest), run fetch→validate over
+/// their shard and stream results back. The coordinator is the only
+/// component that sees the whole run.
+///
+/// Warm cycles skip unchanged devices: each assignment names, per device,
+/// the fingerprint of the table behind its cached verdict. A worker whose
+/// fetched table still has that fingerprint reports the device as replayed
+/// without verifying it, and the coordinator replays the cached violations.
+/// The cache lives here, not on the workers, so a shard re-delivered to
+/// another worker after a loss replays just the same.
 ///
 /// Failure handling is the point of this class: worker crashes (closed
 /// transport), hangs and partitions (lease expiry) all funnel into the
@@ -148,7 +155,8 @@ class Coordinator {
 
   /// Adopts a connected worker channel. The worker joins the fleet once
   /// its kHello arrives (validated during pump()/run_cycle()); a hello
-  /// with the wrong protocol or topology epoch gets the connection closed.
+  /// with the wrong protocol, topology epoch or topology digest gets the
+  /// connection closed.
   void add_worker(std::unique_ptr<Transport> transport);
 
   /// Processes handshakes/heartbeats while idle, sleeping on the injected
@@ -171,12 +179,11 @@ class Coordinator {
     return cycles_completed_.load(std::memory_order_relaxed);
   }
 
-  /// Per-device FIB fingerprints reported by workers last cycle (devices
-  /// whose fetch failed are absent). Basis for cross-cycle change
-  /// detection at the coordinator.
-  [[nodiscard]] const std::unordered_map<topo::DeviceId, std::uint64_t>&
-  fingerprints() const {
-    return fingerprints_;
+  /// The fleet's verdict cache: per device, the fingerprint of the table
+  /// behind its latest verdict and that verdict's violations (devices
+  /// never fetched successfully hold none). Keyed to the topology epoch.
+  [[nodiscard]] const rcdc::VerdictCache& verdicts() const {
+    return verdicts_;
   }
 
   /// The feedback cost model steering next-cycle shard carving. Exposed
@@ -218,7 +225,7 @@ class Coordinator {
 
   struct Shard {
     std::uint32_t id = 0;
-    std::vector<DeviceWork> devices;
+    std::vector<topo::DeviceId> devices;
     std::uint32_t attempt = 0;      // next delivery's attempt counter
     std::uint32_t deliveries = 0;   // assignments actually sent
     bool lost_once = false;         // any assignment was lost
@@ -258,9 +265,12 @@ class Coordinator {
   void observe_clock_echo(Worker& worker, std::uint64_t send_ns,
                           std::uint64_t peer_tx_ns, std::uint64_t peer_rx_ns);
 
+  /// Folds one accepted shard result into the cycle summary and the
+  /// verdict cache.
+  void merge_result(ResultMsg& result, DistributedSummary& summary);
+
   const topo::MetadataService* metadata_;
   CoordinatorConfig config_;
-  rcdc::ContractGenerator generator_;
   rcdc::SystemFetchClock default_clock_;
   rcdc::FetchClock* clock_;
   std::unique_ptr<obs::TraceMerger> merger_;
@@ -271,7 +281,7 @@ class Coordinator {
   std::vector<Worker> workers_;
   std::vector<Shard> shards_;
   std::deque<std::size_t> pending_shards_;
-  std::unordered_map<topo::DeviceId, std::uint64_t> fingerprints_;
+  rcdc::VerdictCache verdicts_;
   /// Per-device cost estimates from last cycles' shard timings; biases the
   /// next cycle's carve toward equal estimated time per shard.
   ShardBalancer balancer_;

@@ -8,6 +8,10 @@ namespace dcv::dist {
 
 namespace {
 
+// DeviceReport flag bits; any other bit set is malformed.
+constexpr std::uint8_t kReplayedBit = 1;
+constexpr std::uint8_t kDegradedBit = 2;
+
 void put_prefix(net::ByteWriter& writer, const net::Prefix& prefix) {
   writer.u32(prefix.network().value());
   writer.u8(static_cast<std::uint8_t>(prefix.length()));
@@ -105,6 +109,7 @@ Frame encode(const HelloMsg& msg) {
   writer.str(msg.worker_id);
   writer.u32(msg.protocol);
   writer.u64(msg.topology_epoch);
+  writer.u64(msg.topology_digest);
   writer.u64(msg.send_ns);
   return Frame{MsgType::kHello, writer.take()};
 }
@@ -113,8 +118,8 @@ std::optional<HelloMsg> decode_hello(std::span<const std::uint8_t> payload) {
   net::ByteReader reader(payload);
   HelloMsg msg;
   if (!reader.str(msg.worker_id) || !reader.u32(msg.protocol) ||
-      !reader.u64(msg.topology_epoch) || !reader.u64(msg.send_ns) ||
-      !reader.done()) {
+      !reader.u64(msg.topology_epoch) || !reader.u64(msg.topology_digest) ||
+      !reader.u64(msg.send_ns) || !reader.done()) {
     return std::nullopt;
   }
   return msg;
@@ -147,14 +152,8 @@ Frame encode(const AssignMsg& msg) {
   writer.u32(static_cast<std::uint32_t>(msg.devices.size()));
   for (const DeviceWork& work : msg.devices) {
     writer.u32(work.device);
-    writer.u32(static_cast<std::uint32_t>(work.contracts.size()));
-    for (const rcdc::Contract& contract : work.contracts) {
-      put_contract(writer, contract);
-    }
+    writer.u64(work.expected_fingerprint);
   }
-  // Trace context and send stamp go after the device list: decoder tests
-  // pin the byte offsets of the leading fields, and appending keeps v1
-  // payload prefixes byte-identical.
   writer.u64(msg.cycle_id);
   writer.u64(msg.parent_span);
   writer.u64(msg.send_ns);
@@ -165,20 +164,15 @@ std::optional<AssignMsg> decode_assign(std::span<const std::uint8_t> payload) {
   net::ByteReader reader(payload);
   AssignMsg msg;
   std::uint32_t devices = 0;
+  // A device entry is 12 bytes on the wire.
   if (!reader.u32(msg.shard_id) || !reader.u32(msg.attempt) ||
-      !reader.u64(msg.plan_epoch) || !reader.count(devices, 8)) {
+      !reader.u64(msg.plan_epoch) || !reader.count(devices, 12)) {
     return std::nullopt;
   }
   msg.devices.resize(devices);
   for (DeviceWork& work : msg.devices) {
-    std::uint32_t contracts = 0;
-    // A contract is ≥ 20 bytes on the wire.
-    if (!reader.u32(work.device) || !reader.count(contracts, 20)) {
+    if (!reader.u32(work.device) || !reader.u64(work.expected_fingerprint)) {
       return std::nullopt;
-    }
-    work.contracts.resize(contracts);
-    for (rcdc::Contract& contract : work.contracts) {
-      if (!get_contract(reader, contract)) return std::nullopt;
     }
   }
   if (!reader.u64(msg.cycle_id) || !reader.u64(msg.parent_span) ||
@@ -222,16 +216,17 @@ Frame encode(const ResultMsg& msg) {
   writer.u64(msg.devices_stale);
   writer.u64(msg.retries);
   writer.u64(msg.breaker_opens);
-  writer.u64(msg.violations_degraded);
   writer.u64(msg.elapsed_ns);
   writer.u32(static_cast<std::uint32_t>(msg.violations.size()));
   for (const rcdc::Violation& violation : msg.violations) {
     put_violation(writer, violation);
   }
-  writer.u32(static_cast<std::uint32_t>(msg.fingerprints.size()));
-  for (const auto& [device, fingerprint] : msg.fingerprints) {
-    writer.u32(device);
-    writer.u64(fingerprint);
+  writer.u32(static_cast<std::uint32_t>(msg.reports.size()));
+  for (const DeviceReport& report : msg.reports) {
+    writer.u32(report.device);
+    writer.u64(report.fingerprint);
+    writer.u8(static_cast<std::uint8_t>((report.replayed ? kReplayedBit : 0) |
+                                        (report.degraded ? kDegradedBit : 0)));
   }
   writer.bytes(msg.registry_blob);
   writer.bytes(msg.trace_blob);
@@ -249,7 +244,7 @@ std::optional<ResultMsg> decode_result(std::span<const std::uint8_t> payload) {
       !reader.u64(msg.devices_checked) || !reader.u64(msg.contracts_checked) ||
       !reader.u64(msg.devices_failed) || !reader.u64(msg.devices_stale) ||
       !reader.u64(msg.retries) || !reader.u64(msg.breaker_opens) ||
-      !reader.u64(msg.violations_degraded) || !reader.u64(msg.elapsed_ns) ||
+      !reader.u64(msg.elapsed_ns) ||
       // A violation is ≥ 34 bytes on the wire.
       !reader.count(violations, 34)) {
     return std::nullopt;
@@ -258,11 +253,17 @@ std::optional<ResultMsg> decode_result(std::span<const std::uint8_t> payload) {
   for (rcdc::Violation& violation : msg.violations) {
     if (!get_violation(reader, violation)) return std::nullopt;
   }
-  std::uint32_t fingerprints = 0;
-  if (!reader.count(fingerprints, 12)) return std::nullopt;
-  msg.fingerprints.resize(fingerprints);
-  for (auto& [device, fingerprint] : msg.fingerprints) {
-    if (!reader.u32(device) || !reader.u64(fingerprint)) return std::nullopt;
+  std::uint32_t reports = 0;
+  if (!reader.count(reports, 13)) return std::nullopt;
+  msg.reports.resize(reports);
+  for (DeviceReport& report : msg.reports) {
+    std::uint8_t flags = 0;
+    if (!reader.u32(report.device) || !reader.u64(report.fingerprint) ||
+        !reader.u8(flags) || (flags & ~(kReplayedBit | kDegradedBit)) != 0) {
+      return std::nullopt;
+    }
+    report.replayed = (flags & kReplayedBit) != 0;
+    report.degraded = (flags & kDegradedBit) != 0;
   }
   if (!reader.bytes(msg.registry_blob) || !reader.bytes(msg.trace_blob) ||
       !reader.u64(msg.send_ns) || !reader.u64(msg.peer_tx_ns) ||

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dist/wire.hpp"
@@ -18,16 +17,22 @@ namespace dcv::dist {
 /// messages echo the last coordinator timestamp seen (plus its local
 /// receive time) for NTP-style offset estimation, AssignMsg names the
 /// coordinator's cycle and parent span, and ResultMsg ships the worker's
-/// serialized span tree (dcv-trace-v1).
-inline constexpr std::uint32_t kProtocolVersion = 2;
+/// serialized span tree (dcv-trace-v1). v3 moved contract planning to the
+/// workers: Hello carries a digest of the expected topology, AssignMsg
+/// names each device with the fingerprint of the table behind its cached
+/// verdict instead of shipping contracts, and ResultMsg reports per device
+/// whether that verdict was replayed.
+inline constexpr std::uint32_t kProtocolVersion = 3;
 
 /// worker → coordinator on connect.
 struct HelloMsg {
   std::string worker_id;
   std::uint32_t protocol = kProtocolVersion;
-  /// Epoch of the expected topology the worker loaded; the coordinator
-  /// refuses workers validating against a different architecture.
+  /// Epoch and digest (rcdc::expected_topology_digest) of the expected
+  /// topology the worker loaded and plans contracts from; the coordinator
+  /// refuses workers whose plan would differ from its own topology's.
   std::uint64_t topology_epoch = 0;
+  std::uint64_t topology_digest = 0;
   /// Sender's steady clock at send (ns since its clock epoch); 0 = sender
   /// does not participate in clock sync.
   std::uint64_t send_ns = 0;
@@ -41,12 +46,14 @@ struct WelcomeMsg {
   std::uint64_t send_ns = 0;
 };
 
-/// One device's work item inside an assignment: the device plus the
-/// contracts the coordinator's plan derived for it (contract planning is
-/// coordinator-owned; workers never re-derive intent).
+/// One device's work item inside an assignment. Workers derive the
+/// device's contracts from their own plan of the (digest-checked) expected
+/// topology; the coordinator sends only what the worker cannot know: the
+/// fingerprint of the table behind the device's cached verdict.
 struct DeviceWork {
   topo::DeviceId device = topo::kInvalidDevice;
-  std::vector<rcdc::Contract> contracts;
+  /// 0 = no cached verdict: the worker must verify.
+  std::uint64_t expected_fingerprint = 0;
 };
 
 /// coordinator → worker: one shard to fetch and validate.
@@ -80,11 +87,29 @@ struct HeartbeatMsg {
   std::uint64_t peer_rx_ns = 0;
 };
 
+/// One device's outcome inside a result, for every device that yielded a
+/// table.
+struct DeviceReport {
+  topo::DeviceId device = topo::kInvalidDevice;
+  /// Fingerprint of the table fetched this cycle.
+  std::uint64_t fingerprint = 0;
+  /// The fingerprint matched the assignment's expectation: the worker
+  /// skipped verification and the coordinator replays its cached verdict.
+  /// Otherwise the device was verified and its violations are in the
+  /// result.
+  bool replayed = false;
+  /// The table was degraded (stale fallback, truncated or corrupted pull):
+  /// the device's violations count at degraded confidence.
+  bool degraded = false;
+
+  friend bool operator==(const DeviceReport&, const DeviceReport&) = default;
+};
+
 /// worker → coordinator: everything the coordinator needs to merge one
-/// validated shard into the run: summary counts, the violations
-/// themselves, per-device FIB fingerprints (for cross-cycle change
-/// detection at the coordinator), and the worker's serialized
-/// obs::MetricsRegistry (dcv-metrics-v1, possibly empty).
+/// validated shard into the run: summary counts, the violations of the
+/// devices verified this time, a report per device that yielded a table,
+/// and the worker's serialized obs::MetricsRegistry (dcv-metrics-v1,
+/// possibly empty).
 struct ResultMsg {
   std::uint32_t shard_id = 0;
   std::uint32_t attempt = 0;
@@ -94,11 +119,10 @@ struct ResultMsg {
   std::uint64_t devices_stale = 0;
   std::uint64_t retries = 0;
   std::uint64_t breaker_opens = 0;
-  std::uint64_t violations_degraded = 0;
   std::uint64_t elapsed_ns = 0;
+  /// Violations of the verified (not replayed) devices, in device order.
   std::vector<rcdc::Violation> violations;
-  /// (device, fingerprint) pairs for every device that yielded a table.
-  std::vector<std::pair<topo::DeviceId, std::uint64_t>> fingerprints;
+  std::vector<DeviceReport> reports;
   std::vector<std::uint8_t> registry_blob;
   /// The worker's span tree for this shard, serialized as dcv-trace-v1
   /// (obs::span_serde); empty when the worker recorded nothing. A blob

@@ -14,11 +14,12 @@ enum class MsgType : std::uint16_t {
   kHello = 1,
   /// coordinator → worker: accepted; carries heartbeat interval + epoch.
   kWelcome = 2,
-  /// coordinator → worker: one shard of devices with their contracts.
+  /// coordinator → worker: one shard of devices with the fingerprints of
+  /// their cached verdicts.
   kAssign = 3,
   /// worker → coordinator: lease renewal + progress while validating.
   kHeartbeat = 4,
-  /// worker → coordinator: the shard's verdicts, fingerprints, metrics.
+  /// worker → coordinator: the shard's verdicts, device reports, metrics.
   kResult = 5,
   /// coordinator → worker: drain and exit cleanly.
   kShutdown = 6,

@@ -6,14 +6,17 @@
 
 #include "obs/metrics_serde.hpp"
 #include "obs/span_serde.hpp"
-#include "rcdc/incremental.hpp"
+#include "rcdc/verdict_cache.hpp"
 
 namespace dcv::dist {
 
-WorkerSession::WorkerSession(const rcdc::FibSource& fibs,
+WorkerSession::WorkerSession(const topo::MetadataService& metadata,
+                             const rcdc::FibSource& fibs,
                              rcdc::VerifierFactory verifier_factory,
                              WorkerSessionConfig config)
-    : fibs_(&fibs),
+    : metadata_(&metadata),
+      generator_(metadata),
+      fibs_(&fibs),
       verifier_factory_(std::move(verifier_factory)),
       config_(std::move(config)),
       clock_(config_.clock != nullptr ? config_.clock : &default_clock_) {}
@@ -23,7 +26,8 @@ SessionEnd WorkerSession::run(Transport& transport) {
   peer_rx_ns_ = 0;
   HelloMsg hello;
   hello.worker_id = config_.id;
-  hello.topology_epoch = config_.topology_epoch;
+  hello.topology_epoch = metadata_->epoch();
+  hello.topology_digest = rcdc::expected_topology_digest(*metadata_);
   hello.send_ns =
       static_cast<std::uint64_t>(clock_->now().time_since_epoch().count());
   if (!transport.send(encode(hello))) return SessionEnd::kConnectionLost;
@@ -88,6 +92,11 @@ SessionEnd WorkerSession::run(Transport& transport) {
 bool WorkerSession::validate_shard(
     const AssignMsg& assignment, Transport& transport,
     std::chrono::nanoseconds heartbeat_interval) {
+  // The coordinator plans nothing: contracts come from this worker's own
+  // plan, which must be of the epoch the assignment names (a coordinator
+  // whose topology moved on cannot be served; the connection is dropped).
+  const rcdc::ContractPlanPtr plan = generator_.plan();
+  if (plan->epoch() != assignment.plan_epoch) return false;
   const auto start = clock_->now();
   auto last_heartbeat = start;
   const auto verifier = verifier_factory_();
@@ -144,7 +153,9 @@ bool WorkerSession::validate_shard(
       last_heartbeat = clock_->now();
     }
     ++done;
-    if (work.contracts.empty()) continue;
+    const std::span<const rcdc::Contract> contracts =
+        plan->contracts_for(work.device);
+    if (contracts.empty()) continue;
     const auto fetch_start = clock_->now();
     rcdc::FetchOutcome outcome = fibs_->try_fetch(work.device);
     if (scaled_latency.count() > 0) clock_->sleep_for(scaled_latency);
@@ -156,14 +167,20 @@ bool WorkerSession::validate_shard(
       continue;
     }
     if (outcome.stale) ++result.devices_stale;
-    result.fingerprints.emplace_back(work.device,
-                                     rcdc::fingerprint(*outcome.table));
+    DeviceReport& report = result.reports.emplace_back();
+    report.device = work.device;
+    report.fingerprint = rcdc::fingerprint(*outcome.table);
+    report.degraded = outcome.degraded();
+    // Unchanged table: the coordinator already holds this verdict.
+    if (work.expected_fingerprint != 0 &&
+        report.fingerprint == work.expected_fingerprint) {
+      report.replayed = true;
+      continue;
+    }
     const auto validate_start = clock_->now();
-    auto violations =
-        verifier->check(*outcome.table, work.contracts, work.device);
+    auto violations = verifier->check(*outcome.table, contracts, work.device);
     add_span("validate", validate_start, clock_->now() - validate_start);
-    result.contracts_checked += work.contracts.size();
-    if (outcome.degraded()) result.violations_degraded += violations.size();
+    result.contracts_checked += contracts.size();
     result.violations.insert(result.violations.end(),
                              std::make_move_iterator(violations.begin()),
                              std::make_move_iterator(violations.end()));

@@ -8,9 +8,11 @@
 #include "dist/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
+#include "rcdc/contract_gen.hpp"
 #include "rcdc/fib_source.hpp"
 #include "rcdc/resilient_fib_source.hpp"
 #include "rcdc/validator.hpp"
+#include "topology/metadata.hpp"
 
 namespace dcv::dist {
 
@@ -18,9 +20,6 @@ struct WorkerSessionConfig {
   /// Identity sent in kHello; labels this worker's metric series at the
   /// coordinator.
   std::string id = "worker";
-  /// Epoch of the topology this worker loaded; the coordinator refuses the
-  /// hello on mismatch.
-  std::uint64_t topology_epoch = 0;
   /// Simulated per-device table-acquisition latency on top of the fib
   /// source's own behavior (the paper's 200-800 ms pull cost). Slept on
   /// the injected clock, scaled by time_scale.
@@ -53,15 +52,20 @@ enum class SessionEnd : std::uint8_t {
 
 /// One worker's side of the protocol, over one connected transport:
 /// hello → welcome → (assign → validate shard → result)* until shutdown or
-/// connection loss. The fetch→validate inner loop is the same per-device
-/// discipline as DatacenterValidator::run — fetch through the FibSource
-/// (failures count against coverage, never throw), check contracts that
-/// arrived on the wire, fingerprint each fetched table — plus heartbeats
-/// at the coordinator-advertised cadence so the shard lease stays alive.
+/// connection loss. The worker plans contracts itself from the expected
+/// topology it loaded; its hello carries that topology's epoch and digest
+/// so the coordinator admits only workers that plan alike. The
+/// fetch→validate inner loop is the same per-device discipline as
+/// DatacenterValidator::run — fetch through the FibSource (failures count
+/// against coverage, never throw), fingerprint each fetched table — except
+/// that a table whose fingerprint matches the assignment's expectation is
+/// reported as replayed instead of verified. Heartbeats go out at the
+/// coordinator-advertised cadence so the shard lease stays alive.
 class WorkerSession {
  public:
-  /// `fibs` and `verifier_factory` must outlive the session.
-  WorkerSession(const rcdc::FibSource& fibs,
+  /// `metadata`, `fibs` and `verifier_factory` must outlive the session.
+  WorkerSession(const topo::MetadataService& metadata,
+                const rcdc::FibSource& fibs,
                 rcdc::VerifierFactory verifier_factory,
                 WorkerSessionConfig config = {});
 
@@ -78,6 +82,8 @@ class WorkerSession {
   bool validate_shard(const AssignMsg& assignment, Transport& transport,
                       std::chrono::nanoseconds heartbeat_interval);
 
+  const topo::MetadataService* metadata_;
+  rcdc::ContractGenerator generator_;
   const rcdc::FibSource* fibs_;
   rcdc::VerifierFactory verifier_factory_;
   WorkerSessionConfig config_;

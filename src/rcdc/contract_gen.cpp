@@ -4,6 +4,7 @@
 #include <ostream>
 
 #include "net/error.hpp"
+#include "net/hash.hpp"
 
 namespace dcv::rcdc {
 
@@ -173,6 +174,34 @@ ContractPlan::ContractPlan(std::uint64_t epoch,
                      });
     total_contracts_ += entry.contracts.size();
   }
+}
+
+std::uint64_t expected_topology_digest(const topo::MetadataService& metadata) {
+  const topo::Topology& topology = metadata.topology();
+  std::uint64_t digest = 0;
+  const auto absorb = [&digest](std::uint64_t value) {
+    digest = net::mix64(digest ^ net::mix64(value));
+  };
+  // Devices chain in id order: contracts name devices by id.
+  absorb(topology.device_count());
+  for (const Device& d : topology.devices()) {
+    absorb(static_cast<std::uint64_t>(d.role));
+    absorb(d.cluster);
+    absorb(d.datacenter);
+  }
+  // Links sum order-insensitively: adjacency does not depend on link ids.
+  std::uint64_t links = 0;
+  for (const topo::Link& link : topology.links()) {
+    const auto [lo, hi] = std::minmax(link.a, link.b);
+    links += net::mix64((static_cast<std::uint64_t>(lo) << 32) | hi);
+  }
+  absorb(links);
+  for (const PrefixFact& fact : metadata.all_prefixes()) {
+    absorb((static_cast<std::uint64_t>(fact.prefix.network().value()) << 8) |
+           fact.prefix.length());
+    absorb((static_cast<std::uint64_t>(fact.tor) << 32) | fact.cluster);
+  }
+  return digest;
 }
 
 ContractPlanPtr ContractGenerator::plan() const {

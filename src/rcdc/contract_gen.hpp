@@ -63,6 +63,16 @@ class ContractPlan {
 
 using ContractPlanPtr = std::shared_ptr<const ContractPlan>;
 
+/// Digest of exactly the facts ContractGenerator reads: every device's id,
+/// role, cluster and datacenter, the expected links (endpoints only, never
+/// their state) and the hosted prefixes with their ToR and cluster. Two
+/// metadata services with equal digests derive the same contract plan under
+/// the same ContractGenOptions. Unlike the epoch, which only counts edits,
+/// the digest names the content — so processes that loaded the topology
+/// separately can check that they plan alike.
+[[nodiscard]] std::uint64_t expected_topology_digest(
+    const topo::MetadataService& metadata);
+
 /// The device contract generator of §2.4 and Figure 5: consumes facts from
 /// the metadata service and derives, for every device, the full contract
 /// set implied by its architectural role:

@@ -2,23 +2,20 @@
 
 #include <algorithm>
 
+#include "net/hash.hpp"
+
 namespace dcv::rcdc {
 
 namespace {
 
-/// splitmix64 — cheap, well-distributed stateless mixer; the outcome of
-/// (seed, device, attempt) must not depend on call interleaving, which
-/// rules out a shared stateful RNG.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+// The outcome of (seed, device, attempt) must not depend on call
+// interleaving, which rules out a shared stateful RNG: hash it instead.
+using net::mix64;
 
 std::uint64_t hash3(std::uint64_t seed, std::uint64_t device,
                     std::uint64_t attempt) {
-  return mix(mix(mix(seed) ^ (device + 1)) ^ (attempt + 1) * 0x9E3779B9ull);
+  return mix64(mix64(mix64(seed) ^ (device + 1)) ^
+               (attempt + 1) * 0x9E3779B9ull);
 }
 
 double to_unit(std::uint64_t h) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "obs/span.hpp"
-#include "rcdc/incremental.hpp"
 #include "rcdc/notification_queue.hpp"
 
 namespace dcv::rcdc {
@@ -139,13 +138,9 @@ PipelineStats MonitoringPipeline::run_cycle() {
   // cycle's plan, never the one captured here.
   obs::Span contracts_span("contracts", nullptr, config_.trace);
   const ContractPlanPtr plan = generator_.plan();
-  if (config_.incremental && plan->epoch() != plan_epoch_) {
-    // Contracts may have changed for any device: every cached verdict is
-    // stale, and the per-device state tracks the new device count.
-    plan_epoch_ = plan->epoch();
-    fingerprints_.assign(metadata_->topology().device_count(), 0);
-    cached_violations_.assign(metadata_->topology().device_count(), {});
-  }
+  // Contracts may have changed for any device on an epoch change: every
+  // cached verdict is dropped.
+  verdicts_.adopt(plan->epoch(), metadata_->topology().device_count());
   std::vector<topo::DeviceId> devices;
   for (const DeviceContracts& entry : plan->devices()) {
     if (!entry.contracts.empty()) devices.push_back(entry.device);
@@ -260,36 +255,32 @@ PipelineStats MonitoringPipeline::run_cycle() {
                 .count()));
       }
       obs::Span validate_span("validate", nullptr, config_.trace);
-      const std::size_t device_index = notification->device;
-      const std::span<const Contract> contracts =
-          plan->contracts_for(notification->device);
+      const topo::DeviceId device = notification->device;
 
       // Incremental skip: an unchanged fingerprint means the cached verdict
       // for this table content is still exact — replay it through the same
       // risk/alert path instead of re-verifying. The "cached" vs "verify"
-      // child span distinguishes the two outcomes in traces.
+      // child span distinguishes the two outcomes in traces. With
+      // incremental mode off the table is not fingerprinted, and a 0
+      // fingerprint never hits.
       std::uint64_t print = 0;
-      bool skipped = false;
       if (config_.incremental) {
         obs::ScopedTimer fingerprint_timer(metrics.fingerprint_ns);
         print = fingerprint(notification->fib);
         fingerprint_timer.stop();
-        skipped = print == fingerprints_[device_index];
       }
-
-      std::vector<Violation> fresh;
-      const std::vector<Violation>* violations = &fresh;
-      if (skipped) {
+      if (verdicts_.hit(device, print)) {
         obs::Span cached_span("cached", nullptr, config_.trace);
-        violations = &cached_violations_[device_index];
         devices_skipped.fetch_add(1, std::memory_order_relaxed);
         if (metrics.devices_skipped != nullptr) metrics.devices_skipped->inc();
         cached_span.stop();
       } else {
+        const std::span<const Contract> contracts =
+            plan->contracts_for(device);
         obs::Span verify_span("verify", metrics.validate_latency_ns,
                               config_.trace);
-        fresh = verifier->check(notification->fib, contracts,
-                                notification->device);
+        std::vector<Violation> fresh =
+            verifier->check(notification->fib, contracts, device);
         const auto verify_elapsed = verify_span.stop();
         validate_total_ns.fetch_add(
             static_cast<std::uint64_t>(verify_elapsed.count()),
@@ -300,23 +291,19 @@ PipelineStats MonitoringPipeline::run_cycle() {
         if (metrics.devices_revalidated != nullptr) {
           metrics.devices_revalidated->inc();
         }
-        if (config_.incremental) {
-          cached_violations_[device_index] = std::move(fresh);
-          fingerprints_[device_index] = print;
-          violations = &cached_violations_[device_index];
-        }
+        verdicts_.store(device, print, std::move(fresh));
       }
-      violation_count.fetch_add(violations->size(),
+      const VerdictCache::Replay verdict =
+          verdicts_.replay(device, notification->degraded);
+      violation_count.fetch_add(verdict.violations.size(),
                                 std::memory_order_relaxed);
-      if (metrics.violations_total != nullptr && !violations->empty()) {
-        metrics.violations_total->inc(violations->size());
+      if (metrics.violations_total != nullptr && !verdict.violations.empty()) {
+        metrics.violations_total->inc(verdict.violations.size());
       }
-      if (notification->degraded) {
-        violations_degraded.fetch_add(violations->size(),
-                                      std::memory_order_relaxed);
-      }
+      violations_degraded.fetch_add(verdict.violations_degraded,
+                                    std::memory_order_relaxed);
       obs::Span report_span("report", nullptr, config_.trace);
-      for (const Violation& v : *violations) {
+      for (const Violation& v : verdict.violations) {
         const RiskAssessment assessment =
             risk.assess(v, notification->degraded);
         if (assessment.level == RiskLevel::kHigh) {

@@ -11,6 +11,7 @@
 #include "obs/span.hpp"
 #include "rcdc/severity.hpp"
 #include "rcdc/validator.hpp"
+#include "rcdc/verdict_cache.hpp"
 
 namespace dcv::rcdc {
 
@@ -196,13 +197,10 @@ class MonitoringPipeline {
   /// contracts (stage 1 becomes a pointer copy in steady state).
   ContractGenerator generator_;
 
-  // Incremental-validation state, owned by run_cycle (each device index is
-  // touched by exactly one validator worker per cycle; cross-cycle
-  // visibility comes from the worker joins). Reset whenever the plan epoch
-  // changes.
-  std::uint64_t plan_epoch_ = ~std::uint64_t{0};
-  std::vector<std::uint64_t> fingerprints_;  // 0 = never validated
-  std::vector<std::vector<Violation>> cached_violations_;
+  /// Incremental-validation state, owned by run_cycle (each device slot is
+  /// touched by exactly one validator worker per cycle; cross-cycle
+  /// visibility comes from the worker joins). Keyed to the plan epoch.
+  VerdictCache verdicts_;
 
   // Telemetry-plane state, updated by run_cycle and read by health().
   std::atomic<std::uint64_t> cycles_completed_{0};

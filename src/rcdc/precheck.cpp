@@ -4,8 +4,8 @@
 #include <thread>
 #include <utility>
 
-#include "rcdc/incremental.hpp"
 #include "rcdc/trie_verifier.hpp"
+#include "rcdc/verdict_cache.hpp"
 
 namespace dcv::rcdc {
 

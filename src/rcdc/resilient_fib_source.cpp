@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <thread>
 
+#include "net/hash.hpp"
+
 namespace dcv::rcdc {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
+using net::mix64;
 
 double to_unit(std::uint64_t h) {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
@@ -107,7 +104,7 @@ std::chrono::nanoseconds ResilientFibSource::backoff_before(
   backoff_ns = std::min(backoff_ns,
                         static_cast<double>(retry.max_backoff.count()));
   const double u = to_unit(
-      mix(mix(config_.seed ^ (device + 1)) ^ (attempt + 0x51ull)));
+      mix64(mix64(config_.seed ^ (device + 1)) ^ (attempt + 0x51ull)));
   const double jitter = std::clamp(retry.jitter, 0.0, 1.0);
   backoff_ns *= 1.0 - jitter + 2.0 * jitter * u;
   return std::chrono::nanoseconds(

@@ -161,7 +161,7 @@ class FastEngine {
 };
 
 /// Incremental re-checking of one contract suite across rule edits — the
-/// IncrementalValidator playbook applied to SecGuru: between runs only the
+/// rcdc::VerdictCache playbook applied to SecGuru: between runs only the
 /// contracts whose filter cube intersects an edited rule's cube (old or new
 /// version) can change verdict, so everything else replays its cached
 /// result. Edits are detected by diffing the rule lists (longest common

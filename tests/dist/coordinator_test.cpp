@@ -5,11 +5,11 @@
 // deterministically with zero wall-clock sleeping.
 #include "dist/coordinator.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <map>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -20,6 +20,7 @@
 #include "obs/span.hpp"
 #include "obs/span_serde.hpp"
 #include "obs/trace_merge.hpp"
+#include "rcdc/contract_gen.hpp"
 #include "rcdc/resilient_fib_source.hpp"
 #include "topology/clos_builder.hpp"
 
@@ -28,14 +29,57 @@ namespace {
 
 using namespace std::chrono_literals;
 
+/// The fabric as scripted workers see it: each device's current table
+/// (by fingerprint) and what verifying that table finds. Tests edit
+/// `tables` between cycles to model FIB churn.
+struct FakeFabric {
+  static constexpr std::uint64_t kContractsPerDevice = 3;
+
+  explicit FakeFabric(std::size_t devices) : tables(devices) {
+    for (std::size_t d = 0; d < devices; ++d) {
+      tables[d] = 0x9E3779B9u ^ (d * 2654435761u);
+    }
+  }
+
+  /// Every third device violates one contract; the violation names the
+  /// table it was found on, so a stale replay is distinguishable from a
+  /// fresh verdict.
+  [[nodiscard]] std::vector<rcdc::Violation> verify(
+      topo::DeviceId device) const {
+    if (device % 3 != 0) return {};
+    rcdc::Violation violation;
+    violation.device = device;
+    violation.kind = rcdc::ViolationKind::kWrongNextHops;
+    violation.actual_next_hops = {
+        static_cast<topo::DeviceId>(tables[device] & 0xFFFF)};
+    return {violation};
+  }
+
+  std::vector<std::uint64_t> tables;
+};
+
+/// The hello a worker loading `metadata` sends.
+HelloMsg hello_for(std::string id, const topo::MetadataService& metadata) {
+  HelloMsg hello;
+  hello.worker_id = std::move(id);
+  hello.topology_epoch = metadata.epoch();
+  hello.topology_digest = rcdc::expected_topology_digest(metadata);
+  return hello;
+}
+
 /// An in-process fake worker implementing the wire protocol from the
 /// worker's side, with scriptable misbehavior.
 class ScriptedWorker final : public Transport {
  public:
   enum class Mode {
-    /// Handshakes, then answers every assignment with a synthesized clean
-    /// result (fingerprints + a small metrics registry included).
+    /// Handshakes, then answers every assignment the way a real worker
+    /// does over the FakeFabric: devices whose table still matches the
+    /// expected fingerprint are reported replayed, the rest verified (a
+    /// small metrics registry rides along).
     kObedient,
+    /// Like kObedient, but claims every device replayed, cached verdict or
+    /// not.
+    kClaimsReplay,
     /// Handshakes, accepts one assignment, then the process "dies": the
     /// connection closes without a result.
     kCrashAfterAssign,
@@ -48,27 +92,10 @@ class ScriptedWorker final : public Transport {
     kHeartbeatForever,
   };
 
-  ScriptedWorker(std::string id, std::uint64_t epoch, Mode mode,
+  ScriptedWorker(HelloMsg hello, const FakeFabric& fabric, Mode mode,
                  rcdc::FetchClock* clock = nullptr)
-      : id_(std::move(id)), mode_(mode), clock_(clock) {
-    HelloMsg hello;
-    hello.worker_id = id_;
-    hello.topology_epoch = epoch;
+      : id_(hello.worker_id), fabric_(&fabric), mode_(mode), clock_(clock) {
     outbox_.push_back(encode(hello));
-  }
-
-  /// Sends a hello with an arbitrary protocol version (rejection tests).
-  static std::unique_ptr<ScriptedWorker> with_hello(std::string id,
-                                                    std::uint32_t protocol,
-                                                    std::uint64_t epoch) {
-    auto worker = std::make_unique<ScriptedWorker>(id, epoch, Mode::kObedient);
-    HelloMsg hello;
-    hello.worker_id = id;
-    hello.protocol = protocol;
-    hello.topology_epoch = epoch;
-    worker->outbox_.clear();
-    worker->outbox_.push_back(encode(hello));
-    return worker;
   }
 
   bool send(const Frame& frame) override {
@@ -84,6 +111,7 @@ class ScriptedWorker final : public Transport {
         ++assignments_received_;
         switch (mode_) {
           case Mode::kObedient:
+          case Mode::kClaimsReplay:
             outbox_.push_back(encode(synthesize_result(*assign)));
             break;
           case Mode::kCrashAfterAssign:
@@ -131,6 +159,10 @@ class ScriptedWorker final : public Transport {
   [[nodiscard]] int assignments_received() const {
     return assignments_received_;
   }
+  /// Devices this worker verified (not replayed), over its lifetime.
+  [[nodiscard]] std::size_t devices_verified() const {
+    return devices_verified_;
+  }
 
   /// Overrides the fixed 1ms result timing with a per-assignment model —
   /// the knob the feedback-balancing tests use to fake slow devices.
@@ -145,16 +177,22 @@ class ScriptedWorker final : public Transport {
     result.shard_id = assign.shard_id;
     result.attempt = assign.attempt;
     result.devices_checked = assign.devices.size();
-    result.contracts_checked = std::accumulate(
-        assign.devices.begin(), assign.devices.end(), std::uint64_t{0},
-        [](std::uint64_t total, const DeviceWork& work) {
-          return total + work.contracts.size();
-        });
     result.elapsed_ns =
         elapsed_model_ ? elapsed_model_(assign) : 1'000'000;
     for (const DeviceWork& work : assign.devices) {
-      result.fingerprints.emplace_back(work.device,
-                                       0x9E3779B9u ^ (work.device * 2654435761u));
+      DeviceReport& report = result.reports.emplace_back();
+      report.device = work.device;
+      report.fingerprint = fabric_->tables[work.device];
+      report.replayed =
+          mode_ == Mode::kClaimsReplay ||
+          (work.expected_fingerprint != 0 &&
+           report.fingerprint == work.expected_fingerprint);
+      if (report.replayed) continue;
+      ++devices_verified_;
+      result.contracts_checked += FakeFabric::kContractsPerDevice;
+      for (rcdc::Violation& v : fabric_->verify(work.device)) {
+        result.violations.push_back(std::move(v));
+      }
     }
     obs::MetricsRegistry registry;
     registry.counter("dcv_worker_shards_validated_total", "shards").inc();
@@ -163,6 +201,7 @@ class ScriptedWorker final : public Transport {
   }
 
   std::string id_;
+  const FakeFabric* fabric_;
   Mode mode_;
   rcdc::FetchClock* clock_;
   std::function<std::uint64_t(const AssignMsg&)> elapsed_model_;
@@ -170,6 +209,7 @@ class ScriptedWorker final : public Transport {
   bool welcomed_ = false;
   bool shutdown_received_ = false;
   int assignments_received_ = 0;
+  std::size_t devices_verified_ = 0;
   std::optional<AssignMsg> active_;
   std::chrono::steady_clock::time_point last_heartbeat_{};
   std::vector<Frame> outbox_;
@@ -182,12 +222,9 @@ class ScriptedWorker final : public Transport {
 /// clock. Exercises the full clock-alignment + trace-merge path.
 class SkewedTracedWorker final : public Transport {
  public:
-  SkewedTracedWorker(std::string id, std::uint64_t epoch,
-                     std::chrono::nanoseconds skew, rcdc::FetchClock* clock)
-      : id_(std::move(id)), skew_(skew), clock_(clock) {
-    HelloMsg hello;
-    hello.worker_id = id_;
-    hello.topology_epoch = epoch;
+  SkewedTracedWorker(HelloMsg hello, std::chrono::nanoseconds skew,
+                     rcdc::FetchClock* clock)
+      : id_(hello.worker_id), skew_(skew), clock_(clock) {
     hello.send_ns = remote_now();
     outbox_.push_back(encode(hello));
   }
@@ -241,7 +278,7 @@ class SkewedTracedWorker final : public Transport {
     result.devices_checked = assign.devices.size();
     result.elapsed_ns = 2'000'000;
     for (const DeviceWork& work : assign.devices) {
-      result.fingerprints.emplace_back(work.device, 0x1234u ^ work.device);
+      result.reports.push_back({work.device, 0x1234u ^ work.device});
     }
     using std::chrono::nanoseconds;
     // Absolute starts in the *worker's* clock, as span_serde ships them;
@@ -279,7 +316,8 @@ class CoordinatorTest : public testing::Test {
                                                     .leaves_per_cluster = 3,
                                                     .spines_per_plane = 1,
                                                     .regional_spines = 2})),
-        metadata_(topology_) {}
+        metadata_(topology_),
+        fabric_(topology_.device_count()) {}
 
   CoordinatorConfig config() {
     CoordinatorConfig cfg;
@@ -296,15 +334,26 @@ class CoordinatorTest : public testing::Test {
   /// coordinator owns the transport).
   ScriptedWorker* add(Coordinator& coordinator, const std::string& id,
                       ScriptedWorker::Mode mode) {
-    auto worker =
-        std::make_unique<ScriptedWorker>(id, topology_.epoch(), mode, &clock_);
+    auto worker = std::make_unique<ScriptedWorker>(hello_for(id, metadata_),
+                                                   fabric_, mode, &clock_);
     ScriptedWorker* raw = worker.get();
     coordinator.add_worker(std::move(worker));
     return raw;
   }
 
+  /// Merged violations of a cycle, in a canonical order.
+  static std::vector<rcdc::Violation> sorted(
+      std::vector<rcdc::Violation> violations) {
+    std::sort(violations.begin(), violations.end(),
+              [](const rcdc::Violation& a, const rcdc::Violation& b) {
+                return a.device < b.device;
+              });
+    return violations;
+  }
+
   topo::Topology topology_;
   topo::MetadataService metadata_;
+  FakeFabric fabric_;
   rcdc::ManualFetchClock clock_;
   obs::MetricsRegistry registry_;
 };
@@ -335,8 +384,10 @@ TEST_F(CoordinatorTest, HappyPathThreeWorkers) {
     EXPECT_FALSE(shard.degraded_confidence);
     EXPECT_EQ(shard.attempts, 1u);
   }
-  // Every device fingerprint arrived at the coordinator.
-  EXPECT_EQ(coordinator.fingerprints().size(), topology_.device_count());
+  // Every device's verdict is cached at the coordinator.
+  EXPECT_EQ(coordinator.verdicts().size(), topology_.device_count());
+  EXPECT_EQ(summary.merged.contracts_checked,
+            topology_.device_count() * FakeFabric::kContractsPerDevice);
   // All three workers did work (queue-stealing may skew the split, but
   // nobody is idle with 4 shards each carved for them).
   for (ScriptedWorker* worker : workers) {
@@ -526,15 +577,120 @@ TEST_F(CoordinatorTest, NoWorkersYieldsFullyFailedCycle) {
 
 TEST_F(CoordinatorTest, RejectsWrongEpochAndWrongProtocol) {
   Coordinator coordinator(metadata_, config());
-  auto wrong_epoch = std::make_unique<ScriptedWorker>(
-      "time-traveler", topology_.epoch() + 1, ScriptedWorker::Mode::kObedient);
-  coordinator.add_worker(std::move(wrong_epoch));
-  coordinator.add_worker(ScriptedWorker::with_hello(
-      "alien", kProtocolVersion + 7, topology_.epoch()));
-  EXPECT_EQ(coordinator.pump(2, 1s), 0u);
+  HelloMsg wrong_epoch = hello_for("time-traveler", metadata_);
+  ++wrong_epoch.topology_epoch;
+  HelloMsg wrong_protocol = hello_for("alien", metadata_);
+  wrong_protocol.protocol = kProtocolVersion + 7;
+  HelloMsg v2 = hello_for("v2", metadata_);
+  v2.protocol = 2;
+  for (const HelloMsg& hello : {wrong_epoch, wrong_protocol, v2}) {
+    coordinator.add_worker(std::make_unique<ScriptedWorker>(
+        hello, fabric_, ScriptedWorker::Mode::kObedient));
+  }
+  EXPECT_EQ(coordinator.pump(3, 1s), 0u);
   EXPECT_EQ(coordinator.live_workers(), 0u);
   EXPECT_EQ(registry_.counter("dcv_dist_workers_rejected_total", "").value(),
-            2u);
+            3u);
+}
+
+TEST_F(CoordinatorTest, RejectsMismatchedTopologyDigest) {
+  // Same epoch (the same count of edits), different facts: the worker
+  // would plan other contracts, so it must not join.
+  Coordinator coordinator(metadata_, config());
+  HelloMsg other_topology = hello_for("elsewhere", metadata_);
+  ++other_topology.topology_digest;
+  coordinator.add_worker(std::make_unique<ScriptedWorker>(
+      other_topology, fabric_, ScriptedWorker::Mode::kObedient));
+  add(coordinator, "local", ScriptedWorker::Mode::kObedient);
+  EXPECT_EQ(coordinator.pump(2, 1s), 1u);
+  EXPECT_EQ(registry_.counter("dcv_dist_workers_rejected_total", "").value(),
+            1u);
+}
+
+TEST_F(CoordinatorTest, WarmCycleChecksNothingAndReplaysVerdicts) {
+  Coordinator coordinator(metadata_, config());
+  std::vector<ScriptedWorker*> workers = {
+      add(coordinator, "w0", ScriptedWorker::Mode::kObedient),
+      add(coordinator, "w1", ScriptedWorker::Mode::kObedient)};
+  EXPECT_EQ(coordinator.pump(2, 5s), 2u);
+
+  const DistributedSummary cold = coordinator.run_cycle();
+  ASSERT_DOUBLE_EQ(cold.coverage(), 1.0);
+  ASSERT_FALSE(cold.merged.violations.empty());
+  EXPECT_EQ(cold.merged.contracts_checked,
+            topology_.device_count() * FakeFabric::kContractsPerDevice);
+
+  const DistributedSummary warm = coordinator.run_cycle();
+  EXPECT_DOUBLE_EQ(warm.coverage(), 1.0);
+  EXPECT_EQ(warm.merged.devices_checked, topology_.device_count());
+  EXPECT_EQ(warm.merged.contracts_checked, 0u);
+  EXPECT_EQ(sorted(warm.merged.violations), sorted(cold.merged.violations));
+  EXPECT_EQ(workers[0]->devices_verified() + workers[1]->devices_verified(),
+            topology_.device_count());
+}
+
+TEST_F(CoordinatorTest, ChangedFibReverifiesExactlyThatDevice) {
+  Coordinator coordinator(metadata_, config());
+  std::vector<ScriptedWorker*> workers = {
+      add(coordinator, "w0", ScriptedWorker::Mode::kObedient),
+      add(coordinator, "w1", ScriptedWorker::Mode::kObedient)};
+  EXPECT_EQ(coordinator.pump(2, 5s), 2u);
+  const DistributedSummary cold = coordinator.run_cycle();
+  ASSERT_DOUBLE_EQ(cold.coverage(), 1.0);
+
+  // Device 6 violates a contract; its table changes, and so does what
+  // verifying it finds.
+  constexpr topo::DeviceId kChanged = 6;
+  fabric_.tables[kChanged] ^= 0xBEEF;
+  const DistributedSummary warm = coordinator.run_cycle();
+  EXPECT_DOUBLE_EQ(warm.coverage(), 1.0);
+  EXPECT_EQ(warm.merged.contracts_checked, FakeFabric::kContractsPerDevice);
+  EXPECT_EQ(workers[0]->devices_verified() + workers[1]->devices_verified(),
+            topology_.device_count() + 1);
+  EXPECT_EQ(coordinator.verdicts().fingerprint(kChanged),
+            fabric_.tables[kChanged]);
+
+  // The merged picture is the cold one with device 6's verdict refreshed.
+  std::vector<rcdc::Violation> expected = sorted(cold.merged.violations);
+  for (rcdc::Violation& v : expected) {
+    if (v.device == kChanged) v = fabric_.verify(kChanged).front();
+  }
+  EXPECT_EQ(sorted(warm.merged.violations), expected);
+}
+
+TEST_F(CoordinatorTest, ShardReassignedMidCycleStillReplays) {
+  Coordinator coordinator(metadata_, config());
+  ScriptedWorker* steady =
+      add(coordinator, "steady", ScriptedWorker::Mode::kObedient);
+  EXPECT_EQ(coordinator.pump(1, 5s), 1u);
+  const DistributedSummary cold = coordinator.run_cycle();
+  ASSERT_DOUBLE_EQ(cold.coverage(), 1.0);
+  ASSERT_EQ(steady->devices_verified(), topology_.device_count());
+
+  // A new worker takes a shard of the warm cycle and dies holding it; the
+  // survivor gets the shard again, with the same expected fingerprints,
+  // and replays it: the cache lives at the coordinator.
+  add(coordinator, "crasher", ScriptedWorker::Mode::kCrashAfterAssign);
+  EXPECT_EQ(coordinator.pump(2, 5s), 2u);
+  const DistributedSummary warm = coordinator.run_cycle();
+  EXPECT_DOUBLE_EQ(warm.coverage(), 1.0);
+  EXPECT_EQ(warm.workers_lost, 1u);
+  EXPECT_GE(warm.reassignments, 1u);
+  EXPECT_EQ(warm.merged.contracts_checked, 0u);
+  EXPECT_EQ(steady->devices_verified(), topology_.device_count());
+  EXPECT_EQ(sorted(warm.merged.violations), sorted(cold.merged.violations));
+}
+
+TEST_F(CoordinatorTest, ReplayClaimWithoutCachedVerdictLeavesDeviceFailed) {
+  Coordinator coordinator(metadata_, config());
+  add(coordinator, "liar", ScriptedWorker::Mode::kClaimsReplay);
+  EXPECT_EQ(coordinator.pump(1, 5s), 1u);
+  // Nothing is cached yet, so no claimed replay can be honoured.
+  const DistributedSummary summary = coordinator.run_cycle();
+  EXPECT_EQ(summary.merged.devices_failed, topology_.device_count());
+  EXPECT_DOUBLE_EQ(summary.coverage(), 0.0);
+  EXPECT_TRUE(summary.merged.violations.empty());
+  EXPECT_EQ(coordinator.verdicts().size(), 0u);
 }
 
 TEST_F(CoordinatorTest, FleetProbeTracksReadiness) {
@@ -581,7 +737,7 @@ TEST_F(CoordinatorTest, MergedTraceNestsWorkerSpansUnderAssignSpans) {
   // The worker's steady clock runs 250 ms ahead of the coordinator's.
   constexpr auto kSkew = 250ms;
   coordinator.add_worker(std::make_unique<SkewedTracedWorker>(
-      "skewed", topology_.epoch(), kSkew, &clock_));
+      hello_for("skewed", metadata_), kSkew, &clock_));
   EXPECT_EQ(coordinator.pump(1, 5s), 1u);
 
   const DistributedSummary summary = coordinator.run_cycle();

@@ -2,12 +2,16 @@
 // thread and WorkerSession threads speak the actual wire protocol through
 // real sockets, a scripted "crasher" thread dies mid-shard to prove
 // same-cycle recovery, and WorkerFleet's fork/exec/reap path is exercised
-// with real child processes. Everything binds ephemeral ports; nothing
+// with real child processes, including a two-cycle run of real dcv_worker
+// processes. Everything binds ephemeral ports; nothing
 // sleeps longer than the protocol needs.
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -23,8 +27,10 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_merge.hpp"
+#include "rcdc/contract_gen.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/clos_builder.hpp"
+#include "topology/topology_io.hpp"
 
 namespace dcv::dist {
 namespace {
@@ -49,8 +55,8 @@ class E2eProcessTest : public testing::Test {
     return std::thread([this, port, id, shutdowns] {
       WorkerSessionConfig config;
       config.id = id;
-      config.topology_epoch = topology_.epoch();
-      WorkerSession session(fibs_, rcdc::make_trie_verifier_factory(), config);
+      WorkerSession session(metadata_, fibs_,
+                            rcdc::make_trie_verifier_factory(), config);
       auto transport = connect_tcp("127.0.0.1", port, 3000ms);
       ASSERT_NE(transport, nullptr) << id << " could not connect";
       if (session.run(*transport) == SessionEnd::kShutdown &&
@@ -96,7 +102,7 @@ TEST_F(E2eProcessTest, RealTcpCycleWithTwoWorkers) {
   EXPECT_FALSE(summary.degraded());
   EXPECT_EQ(summary.merged.devices_checked, topology_.device_count());
   EXPECT_TRUE(summary.merged.violations.empty());
-  EXPECT_EQ(coordinator.fingerprints().size(), topology_.device_count());
+  EXPECT_EQ(coordinator.verdicts().size(), topology_.device_count());
 
   coordinator.shutdown_workers();
   w0.join();
@@ -188,6 +194,7 @@ TEST_F(E2eProcessTest, PeerCrashMidShardRecoversSameCycle) {
     HelloMsg hello;
     hello.worker_id = "crasher";
     hello.topology_epoch = topology_.epoch();
+    hello.topology_digest = rcdc::expected_topology_digest(metadata_);
     ASSERT_TRUE(transport->send(encode(hello)));
     const auto deadline = std::chrono::steady_clock::now() + 10s;
     while (std::chrono::steady_clock::now() < deadline) {
@@ -220,6 +227,72 @@ TEST_F(E2eProcessTest, PeerCrashMidShardRecoversSameCycle) {
   coordinator.shutdown_workers();
   survivor.join();
   EXPECT_EQ(shutdowns.load(), 1);
+}
+
+// Two cycles over unchanged state with real dcv_worker processes: the
+// workers plan from the topology file they load, the second cycle checks no
+// contract, and both report what an in-process validator finds.
+TEST_F(E2eProcessTest, RealWorkerProcessesReplayTheSecondCycle) {
+  install_fleet_signal_handlers();
+  topo::Topology topology = topology_;
+  topology.set_link_state(*topology.find_link(topology.tors_in_cluster(0)[0],
+                                              topology.leaves_in_cluster(0)[0]),
+                          topo::LinkState::kDown);
+  const std::string path = ::testing::TempDir() + "dcv_e2e_two_cycles.topo";
+  std::ofstream(path) << topo::write_topology(topology);
+  const topo::Topology loaded =
+      topo::parse_topology(topo::write_topology(topology));
+  const topo::MetadataService metadata(loaded);
+
+  TcpListener listener(0);
+  CoordinatorConfig config;
+  config.shards_per_worker = 2;
+  Coordinator coordinator(metadata, config);
+  WorkerFleet fleet;
+  for (const char* id : {"proc-w0", "proc-w1"}) {
+    ASSERT_GT(fleet.spawn({DCV_WORKER_BIN, "--connect",
+                           "127.0.0.1:" + std::to_string(listener.port()),
+                           "--topology", path, "--source", "sim",
+                           "--worker-id", id, "--quiet"}),
+              0);
+  }
+  accept_workers(coordinator, listener, 2);
+
+  const DistributedSummary cold = coordinator.run_cycle();
+  const DistributedSummary warm = coordinator.run_cycle();
+  coordinator.shutdown_workers();
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (fleet.alive() > 0 && std::chrono::steady_clock::now() < deadline) {
+    (void)fleet.reap();
+    std::this_thread::sleep_for(10ms);
+  }
+  fleet.kill_all(SIGKILL);
+  (void)fleet.reap();
+  std::remove(path.c_str());
+
+  EXPECT_DOUBLE_EQ(cold.coverage(), 1.0);
+  EXPECT_DOUBLE_EQ(warm.coverage(), 1.0);
+  EXPECT_GT(cold.merged.contracts_checked, 0u);
+  EXPECT_EQ(warm.merged.contracts_checked, 0u);
+  ASSERT_FALSE(cold.merged.violations.empty());
+  EXPECT_EQ(warm.merged.violations, cold.merged.violations);
+
+  const routing::BgpSimulator simulator(loaded);
+  const rcdc::SimulatorFibSource fibs(simulator);
+  const rcdc::DatacenterValidator validator(
+      metadata, fibs, rcdc::make_trie_verifier_factory());
+  std::vector<rcdc::Violation> expected = validator.run(2).violations;
+  std::vector<rcdc::Violation> actual = warm.merged.violations;
+  const auto order = [](const rcdc::Violation& a, const rcdc::Violation& b) {
+    if (a.device != b.device) return a.device < b.device;
+    if (a.contract.prefix != b.contract.prefix) {
+      return a.contract.prefix < b.contract.prefix;
+    }
+    return a.rule_prefix < b.rule_prefix;
+  };
+  std::sort(expected.begin(), expected.end(), order);
+  std::sort(actual.begin(), actual.end(), order);
+  EXPECT_EQ(actual, expected);
 }
 
 TEST_F(E2eProcessTest, WorkerFleetClassifiesExits) {

@@ -5,6 +5,7 @@
 // CI), and never accept a frame whose checksum or structure lies.
 #include "dist/messages.hpp"
 #include "dist/wire.hpp"
+#include "net/bytes.hpp"
 #include "obs/span_serde.hpp"
 
 #include <cstdint>
@@ -174,6 +175,7 @@ TEST(MessageCodecTest, HelloRoundTrips) {
   HelloMsg msg;
   msg.worker_id = "worker-7";
   msg.topology_epoch = 42;
+  msg.topology_digest = 0xD16E57D16E57ull;
   const Frame frame = encode(msg);
   EXPECT_EQ(frame.type, MsgType::kHello);
   const auto decoded = decode_hello(frame.payload);
@@ -181,6 +183,17 @@ TEST(MessageCodecTest, HelloRoundTrips) {
   EXPECT_EQ(decoded->worker_id, "worker-7");
   EXPECT_EQ(decoded->protocol, kProtocolVersion);
   EXPECT_EQ(decoded->topology_epoch, 42u);
+  EXPECT_EQ(decoded->topology_digest, 0xD16E57D16E57ull);
+}
+
+TEST(MessageCodecTest, V2HelloIsRefused) {
+  // A v2 hello has no topology digest: the v3 decoder finds it short.
+  net::ByteWriter writer;
+  writer.str("old-worker");
+  writer.u32(2);
+  writer.u64(7);    // topology epoch
+  writer.u64(123);  // send_ns
+  EXPECT_FALSE(decode_hello(writer.take()).has_value());
 }
 
 TEST(MessageCodecTest, WelcomeRoundTrips) {
@@ -193,33 +206,29 @@ TEST(MessageCodecTest, WelcomeRoundTrips) {
   EXPECT_EQ(decoded->lease_ns, msg.lease_ns);
 }
 
-TEST(MessageCodecTest, AssignRoundTripsDevicesAndContracts) {
+TEST(MessageCodecTest, AssignRoundTripsDevicesAndExpectedFingerprints) {
   AssignMsg msg;
   msg.shard_id = 3;
   msg.attempt = 2;
   msg.plan_epoch = 7;
-  msg.devices.push_back({11, {sample_contract()}});
-  Contract defaulted;  // default contract, empty hops
-  msg.devices.push_back({12, {defaulted, sample_contract()}});
-  msg.devices.push_back({13, {}});  // contract-free device still travels
+  msg.devices.push_back({11, 0xFEEDFACECAFEBEEFull});
+  msg.devices.push_back({12, 0});  // no cached verdict: must verify
+  msg.devices.push_back({13, 1});
 
-  const auto decoded = decode_assign(encode(msg).payload);
+  const Frame frame = encode(msg);
+  // Each device costs 12 bytes: id + expected fingerprint.
+  EXPECT_EQ(frame.payload.size(), 4u + 4 + 8 + 4 + 3 * 12 + 3 * 8);
+  const auto decoded = decode_assign(frame.payload);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->shard_id, 3u);
   EXPECT_EQ(decoded->attempt, 2u);
   EXPECT_EQ(decoded->plan_epoch, 7u);
   ASSERT_EQ(decoded->devices.size(), 3u);
   EXPECT_EQ(decoded->devices[0].device, 11u);
-  ASSERT_EQ(decoded->devices[0].contracts.size(), 1u);
-  const Contract& c = decoded->devices[0].contracts[0];
-  EXPECT_EQ(c.kind, rcdc::ContractKind::kSpecific);
-  EXPECT_EQ(c.prefix.to_string(), "10.1.2.0/24");
-  EXPECT_EQ(c.expected_next_hops, (std::vector<topo::DeviceId>{4, 9, 17}));
-  EXPECT_EQ(c.mode, rcdc::MatchMode::kSubsetAtLeast);
-  EXPECT_EQ(c.min_next_hops, 2u);
-  EXPECT_TRUE(c.allow_default_route);
-  EXPECT_EQ(decoded->devices[1].contracts.size(), 2u);
-  EXPECT_TRUE(decoded->devices[2].contracts.empty());
+  EXPECT_EQ(decoded->devices[0].expected_fingerprint, 0xFEEDFACECAFEBEEFull);
+  EXPECT_EQ(decoded->devices[1].device, 12u);
+  EXPECT_EQ(decoded->devices[1].expected_fingerprint, 0u);
+  EXPECT_EQ(decoded->devices[2].expected_fingerprint, 1u);
 }
 
 TEST(MessageCodecTest, ResultRoundTripsViolationsFingerprintsAndBlob) {
@@ -232,7 +241,6 @@ TEST(MessageCodecTest, ResultRoundTripsViolationsFingerprintsAndBlob) {
   msg.devices_stale = 2;
   msg.retries = 7;
   msg.breaker_opens = 1;
-  msg.violations_degraded = 4;
   msg.elapsed_ns = 123456;
   rcdc::Violation violation;
   violation.device = 42;
@@ -241,7 +249,9 @@ TEST(MessageCodecTest, ResultRoundTripsViolationsFingerprintsAndBlob) {
   violation.rule_prefix = net::Prefix(net::Ipv4Address(0x0A000000u), 8);
   violation.actual_next_hops = {5};
   msg.violations.push_back(violation);
-  msg.fingerprints = {{1, 0x1111}, {2, 0x2222}};
+  msg.reports = {{1, 0x1111, /*replayed=*/true, /*degraded=*/false},
+                 {2, 0x2222, false, true},
+                 {42, 0x4242, false, false}};
   msg.registry_blob = {1, 2, 3, 4, 5};
 
   const auto decoded = decode_result(encode(msg).payload);
@@ -252,7 +262,6 @@ TEST(MessageCodecTest, ResultRoundTripsViolationsFingerprintsAndBlob) {
   EXPECT_EQ(decoded->devices_stale, 2u);
   EXPECT_EQ(decoded->retries, 7u);
   EXPECT_EQ(decoded->breaker_opens, 1u);
-  EXPECT_EQ(decoded->violations_degraded, 4u);
   EXPECT_EQ(decoded->elapsed_ns, 123456u);
   ASSERT_EQ(decoded->violations.size(), 1u);
   EXPECT_EQ(decoded->violations[0].device, 42u);
@@ -260,7 +269,14 @@ TEST(MessageCodecTest, ResultRoundTripsViolationsFingerprintsAndBlob) {
             rcdc::ViolationKind::kUnreachableRange);
   EXPECT_EQ(decoded->violations[0].actual_next_hops,
             (std::vector<topo::DeviceId>{5}));
-  EXPECT_EQ(decoded->fingerprints, msg.fingerprints);
+  const Contract& c = decoded->violations[0].contract;
+  EXPECT_EQ(c.kind, rcdc::ContractKind::kSpecific);
+  EXPECT_EQ(c.prefix.to_string(), "10.1.2.0/24");
+  EXPECT_EQ(c.expected_next_hops, (std::vector<topo::DeviceId>{4, 9, 17}));
+  EXPECT_EQ(c.mode, rcdc::MatchMode::kSubsetAtLeast);
+  EXPECT_EQ(c.min_next_hops, 2u);
+  EXPECT_TRUE(c.allow_default_route);
+  EXPECT_EQ(decoded->reports, msg.reports);
   EXPECT_EQ(decoded->registry_blob, msg.registry_blob);
 }
 
@@ -279,7 +295,7 @@ TEST(MessageCodecTest, V2TraceContextFieldsRoundTrip) {
   AssignMsg assign;
   assign.shard_id = 1;
   assign.plan_epoch = 1;
-  assign.devices.push_back({7, {sample_contract()}});
+  assign.devices.push_back({7, 0x77});
   assign.cycle_id = 33;
   assign.parent_span = 0xABCDEF;
   assign.send_ns = 444;
@@ -339,16 +355,16 @@ TEST(MessageCodecTest, ResultCarriesDecodableTraceBlob) {
 
 TEST(MessageCodecTest, RejectsTruncationsOfEveryMessage) {
   const std::vector<Frame> frames = {
-      encode(HelloMsg{"w", kProtocolVersion, 1}),
+      encode(HelloMsg{"w", kProtocolVersion, 1, 0xD1}),
       encode(WelcomeMsg{100, 200}),
-      encode(AssignMsg{1, 0, 1, {{7, {sample_contract()}}}}),
+      encode(AssignMsg{1, 0, 1, {{7, 9}}}),
       encode(HeartbeatMsg{1, 0, 5}),
       [] {
         ResultMsg r;
         r.shard_id = 1;
         r.violations.resize(1);
         r.violations[0].contract = sample_contract();
-        r.fingerprints = {{3, 9}};
+        r.reports = {{3, 9, true, true}};
         r.registry_blob = {1, 2};
         r.trace_blob = obs::serialize_trace(
             std::vector<obs::TraceEvent>{
@@ -393,14 +409,30 @@ TEST(MessageCodecTest, RejectsTrailingJunk) {
 }
 
 TEST(MessageCodecTest, RejectsOutOfRangeEnumsAndPrefixes) {
-  // Contract kind 200 inside an assign.
-  AssignMsg msg{0, 0, 1, {{7, {sample_contract()}}}};
-  Frame frame = encode(msg);
-  // The contract kind byte sits after shard(4) + attempt(4) + epoch(8) +
-  // device count(4) + device id(4) + contract count(4) = 28 bytes.
-  ASSERT_GT(frame.payload.size(), 28u);
-  frame.payload[28] = 200;
-  EXPECT_FALSE(decode_assign(frame.payload).has_value());
+  ResultMsg msg;
+  msg.violations.resize(1);
+  msg.violations[0].device = 7;
+  msg.violations[0].contract = sample_contract();
+  msg.reports = {{7, 0xAB, false, false}};
+  const Frame frame = encode(msg);
+  ASSERT_TRUE(decode_result(frame.payload).has_value());
+  // The violation's contract kind byte sits after shard(4) + attempt(4) +
+  // seven u64 counters(56) + violation count(4) + device id(4) = 72 bytes.
+  Frame bad_kind = frame;
+  ASSERT_GT(bad_kind.payload.size(), 72u);
+  bad_kind.payload[72] = 200;
+  EXPECT_FALSE(decode_result(bad_kind.payload).has_value());
+  // Its prefix length byte follows the kind and the network (4 bytes).
+  Frame bad_length = frame;
+  bad_length.payload[77] = 33;
+  EXPECT_FALSE(decode_result(bad_length.payload).has_value());
+  // The report's flag byte ends the report list, ahead of the two empty
+  // blobs (4 + 4) and three u64 stamps (24): only bits 0-1 are defined.
+  Frame bad_flags = frame;
+  const std::size_t flags_at = bad_flags.payload.size() - 8 - 24 - 1;
+  ASSERT_EQ(bad_flags.payload[flags_at], 0u);
+  bad_flags.payload[flags_at] = 4;
+  EXPECT_FALSE(decode_result(bad_flags.payload).has_value());
 }
 
 TEST(CorpusTest, EveryCheckedInFrameDecodesSafely) {
@@ -421,8 +453,10 @@ TEST(CorpusTest, EveryCheckedInFrameDecodesSafely) {
     // Named expectations for the deliberately-broken files.
     const std::string name = entry.path().filename().string();
     if (name == "valid_hello.bin") {
-      EXPECT_TRUE(result.ok()) << name;
-      EXPECT_TRUE(decode_hello(result.frame->payload).has_value());
+      ASSERT_TRUE(result.ok()) << name;
+      const auto hello = decode_hello(result.frame->payload);
+      ASSERT_TRUE(hello.has_value());
+      EXPECT_EQ(hello->protocol, kProtocolVersion);
     } else if (name == "bad_magic.bin") {
       EXPECT_EQ(result.error, DecodeError::kBadMagic);
     } else if (name == "bad_version.bin") {
@@ -438,11 +472,14 @@ TEST(CorpusTest, EveryCheckedInFrameDecodesSafely) {
       EXPECT_EQ(result.error, DecodeError::kNeedMoreData);
     } else if (name == "hostile_string_len.bin" ||
                name == "hostile_count_assign.bin" ||
-               name == "hostile_count_contracts.bin" ||
+               name == "hostile_count_devices.bin" ||
                name == "hostile_count_result.bin" ||
-               name == "bad_prefix_len.bin" || name == "trailing_junk.bin") {
-      // Well-framed, hostile payload: the frame decodes, the message must
-      // not.
+               name == "bad_prefix_len.bin" ||
+               name == "bad_report_flags.bin" ||
+               name == "trailing_junk.bin" || name == "hello_v2.bin" ||
+               name == "assign_v2.bin") {
+      // Well-framed, hostile payload (or a protocol-v2 message): the frame
+      // decodes, the message must not.
       ASSERT_TRUE(result.ok()) << name;
       switch (result.frame->type) {
         case MsgType::kHello:
@@ -472,7 +509,7 @@ TEST(CorpusTest, EveryCheckedInFrameDecodesSafely) {
       EXPECT_FALSE(obs::deserialize_trace(msg->trace_blob, trace)) << name;
     }
   }
-  EXPECT_GE(files, 15u) << "corpus went missing";
+  EXPECT_GE(files, 25u) << "corpus went missing";
   EXPECT_GE(decoded_ok, 1u);
 }
 
@@ -480,13 +517,13 @@ TEST(MutationFuzzTest, TenThousandMutationsNeverCrash) {
   // Seeded: failures reproduce. Start from real frames so mutations
   // explore the interesting neighborhoods of the format, not just noise.
   std::mt19937 rng(0xDC5F00D);
-  AssignMsg assign{3, 1, 1, {{7, {sample_contract()}}, {8, {}}}};
+  AssignMsg assign{3, 1, 1, {{7, 0xAB}, {8, 0}}};
   ResultMsg result;
   result.shard_id = 3;
   result.violations.resize(2);
   result.violations[0].contract = sample_contract();
   result.violations[1].contract = sample_contract();
-  result.fingerprints = {{7, 0xAB}, {8, 0xCD}};
+  result.reports = {{7, 0xAB, true, false}, {8, 0xCD, false, true}};
   result.registry_blob = {0x44, 0x43, 0x56, 0x4D, 1, 0};
   ResultMsg traced = result;
   traced.trace_blob = obs::serialize_trace(
@@ -500,7 +537,7 @@ TEST(MutationFuzzTest, TenThousandMutationsNeverCrash) {
       encode_frame(encode(assign)),
       encode_frame(encode(result)),
       encode_frame(encode(traced)),
-      encode_frame(encode(HelloMsg{"fuzz", kProtocolVersion, 9})),
+      encode_frame(encode(HelloMsg{"fuzz", kProtocolVersion, 9, 0xD1})),
       encode_frame(encode_shutdown()),
   };
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "topology/clos_builder.hpp"
+#include "topology/topology_io.hpp"
 
 namespace dcv::rcdc {
 namespace {
@@ -177,6 +178,40 @@ TEST(HopsSatisfy, SubsetAtLeast) {
   EXPECT_FALSE(satisfies({1}, c));          // below the bound
   EXPECT_FALSE(satisfies({1, 2, 4}, c));    // not a subset
   EXPECT_FALSE(satisfies({}, c));
+}
+
+}  // namespace
+}  // namespace dcv::rcdc
+
+namespace dcv::rcdc {
+namespace {
+
+// The digest workers send at the fleet handshake: equal for separately
+// loaded copies of one topology, blind to link state and ASNs (which no
+// contract reads), and changed by any fact the generator does read.
+TEST(ExpectedTopologyDigest, NamesExactlyThePlannedFacts) {
+  auto topology = topo::build_figure3();
+  const auto digest_of = [](const topo::Topology& t) {
+    return expected_topology_digest(topo::MetadataService(t));
+  };
+  const std::uint64_t base = digest_of(topology);
+  EXPECT_EQ(digest_of(topo::parse_topology(topo::write_topology(topology))),
+            base);
+
+  topo::Topology state_drift = topology;
+  topo::apply_figure3_failures(state_drift);
+  state_drift.set_asn(*state_drift.find_device("ToR1"), topo::Asn{65099});
+  EXPECT_EQ(digest_of(state_drift), base);
+
+  topo::Topology extra_prefix = topology;
+  extra_prefix.add_hosted_prefix(*extra_prefix.find_device("ToR1"),
+                                 net::Prefix::parse("10.9.0.0/24"));
+  EXPECT_NE(digest_of(extra_prefix), base);
+
+  topo::Topology extra_link = topology;
+  extra_link.add_link(*extra_link.find_device("ToR1"),
+                      *extra_link.find_device("ToR2"));
+  EXPECT_NE(digest_of(extra_link), base);
 }
 
 }  // namespace

@@ -65,8 +65,8 @@ TEST_F(ChangePlanTest, ResolvesNamesAtParseTime) {
 
 TEST_F(ChangePlanTest, ErrorsNameTheOffendingLine) {
   try {
-    parse_change_plan("change ok\nset-asn ToR1 64990\nset-asn Ghost 1\n",
-                      topology_);
+    (void)parse_change_plan(
+        "change ok\nset-asn ToR1 64990\nset-asn Ghost 1\n", topology_);
     FAIL() << "expected ParseError";
   } catch (const dcv::ParseError& error) {
     const std::string what = error.what();

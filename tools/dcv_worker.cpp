@@ -1,11 +1,16 @@
 // dcv_worker — one validation worker of a distributed RCDC fleet.
 //
 // Connects to a coordinator (rcdc_validate --workers/--listen), loads the
-// same topology file, and serves shard assignments: fetch each assigned
-// device's table through the local fib-source stack, check the contracts
-// that arrived on the wire, and stream the result (summary, violations,
-// FIB fingerprints, serialized metrics registry) back. On connection loss
-// it reconnects with exponential backoff; on kShutdown it exits 0.
+// same topology file and plans every device's contracts from it, then
+// serves shard assignments: fetch each assigned device's table through the
+// local fib-source stack and fingerprint it. A table whose fingerprint
+// matches the one the coordinator sent is reported as replayed (the
+// coordinator holds its verdict); any other is checked against the local
+// plan. The result (summary, fresh violations, per-device reports,
+// serialized metrics registry) streams back. The hello carries the
+// topology's epoch and digest, and a coordinator planning from a different
+// topology refuses the worker. On connection loss it reconnects with
+// exponential backoff; on kShutdown it exits 0.
 #include <unistd.h>
 
 #include <charconv>
@@ -38,6 +43,8 @@ using namespace dcv;
 void usage() {
   std::cerr <<
       "usage: dcv_worker --connect HOST:PORT --topology FILE [options]\n"
+      "  --topology FILE      expected topology: contracts are planned\n"
+      "                       from it, and it must be the coordinator's\n"
       "  --tables DIR         per-device routing tables (<name>.rt);\n"
       "                       default: simulate EBGP over recorded state\n"
       "  --source sim|synth   table source when --tables is absent:\n"
@@ -319,12 +326,11 @@ int main(int argc, char** argv) {
 
     dist::WorkerSessionConfig session_config;
     session_config.id = worker_id;
-    session_config.topology_epoch = topology.epoch();
     session_config.fetch_latency = std::chrono::microseconds(fetch_latency_us);
     session_config.time_scale = time_scale;
     session_config.metrics = &registry;
     session_config.trace = trace.get();
-    dist::WorkerSession session(*active, factory, session_config);
+    dist::WorkerSession session(metadata, *active, factory, session_config);
 
     rcdc::SystemFetchClock clock;
     std::uint32_t failed_connects = 0;
