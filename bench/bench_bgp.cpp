@@ -16,12 +16,16 @@
 //      path at this 304-device size, narrowing the measured ratio to
 //      ~9.5-10.5x. bench_scale carries the memory claim that cost buys.)
 //
-// Both gates are medians of per-run paired ratios (the two arms of one
-// pair see the same machine conditions), so the checked-in baseline is
-// machine-independent; absolute rates are reported ungated.
+// Both gates are medians of kPairs paired ratios. A pair runs the two arms
+// back to back, so both see the same machine conditions, and the pairs are
+// interleaved, so a slow spell on a shared box moves a few ratios rather
+// than the whole estimate; the checked-in baseline is therefore
+// machine-independent. Each ratio and time is recorded as a distribution
+// (count, p10/p50/p90) in the dcv-bench-v1 JSON; absolute rates are
+// reported ungated.
 #include <algorithm>
-#include <array>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -37,10 +41,28 @@ namespace {
 
 using namespace dcv;
 
+/// Interleaved pairs per gated ratio. Odd, so the median is one sample.
+constexpr int kPairs = 9;
+
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)
       .count();
+}
+
+/// Nearest-rank p10/p50/p90, the same ranks BenchReport::metric records.
+struct Spread {
+  double p10, p50, p90;
+};
+
+Spread spread(std::vector<double> samples) {
+  std::sort(samples.begin(), samples.end());
+  const auto rank = [&](double q) {
+    const auto index = static_cast<std::size_t>(
+        std::ceil(q * static_cast<double>(samples.size())));
+    return samples[std::min(samples.size() - 1, index == 0 ? 0 : index - 1)];
+  };
+  return {rank(0.10), rank(0.50), rank(0.90)};
 }
 
 }  // namespace
@@ -74,10 +96,10 @@ int main(int argc, char** argv) {
       return 3;
     }
   }
-  double reference_s = 1e300;
-  double worklist_s = 1e300;
-  std::array<double, 3> paired_cold{};
-  for (std::size_t run = 0; run < paired_cold.size(); ++run) {
+  std::vector<double> reference_s;
+  std::vector<double> worklist_s;
+  std::vector<double> paired_cold;
+  for (int pair = 0; pair < kPairs; ++pair) {
     auto start = std::chrono::steady_clock::now();
     const routing::ReferenceBgpSimulator ref(topology);
     const double run_ref = seconds_since(start);
@@ -86,7 +108,7 @@ int main(int argc, char** argv) {
     const routing::BgpSimulator sim(topology, nullptr, nullptr, options);
     const double run_sim = seconds_since(start);
 
-    if (run == 0) {
+    if (pair == 0) {
       // Full differential sweep once per bench run: the speedup only
       // counts if the engines agree everywhere.
       for (const topo::Device& device : topology.devices()) {
@@ -96,22 +118,24 @@ int main(int argc, char** argv) {
         }
       }
     }
-    reference_s = std::min(reference_s, run_ref);
-    worklist_s = std::min(worklist_s, run_sim);
-    paired_cold[run] = run_ref / run_sim;
+    reference_s.push_back(run_ref);
+    worklist_s.push_back(run_sim);
+    paired_cold.push_back(run_ref / run_sim);
   }
-  std::sort(paired_cold.begin(), paired_cold.end());
-  const double cold_speedup = paired_cold[paired_cold.size() / 2];
-  std::printf("cold full convergence (best of %zu):\n", paired_cold.size());
+  const Spread cold = spread(paired_cold);
+  std::printf("cold full convergence (%d interleaved pairs, median):\n",
+              kPairs);
   std::printf("  reference (Jacobi, map RIBs, copy-all rounds): %8.1f ms\n",
-              1e3 * reference_s);
+              1e3 * spread(reference_s).p50);
   std::printf("  worklist  (frontier, flat RIBs, %u threads) : %8.1f ms\n",
-              threads, 1e3 * worklist_s);
-  std::printf("  cold speedup: %.2fx (acceptance floor 3x)\n\n",
-              cold_speedup);
-  report.value("cold_reference_s", "s", reference_s, "none");
-  report.value("cold_worklist_s", "s", worklist_s, "lower");
-  report.value("cold_speedup_ratio", "x", cold_speedup, "higher");
+              threads, 1e3 * spread(worklist_s).p50);
+  std::printf("  cold speedup: %.2fx [p10 %.2fx, p90 %.2fx] "
+              "(acceptance floor 3x)\n\n",
+              cold.p50, cold.p10, cold.p90);
+  report.metric("cold_reference_s", "s", reference_s, "none");
+  report.metric("cold_worklist_s", "s", worklist_s, "lower");
+  report.metric("cold_speedup_ratio", "x", paired_cold, "higher");
+  const double cold_speedup = cold.p50;
 
   // -- warm reconvergence after a single-link fault ------------------------
   // One persistent simulator absorbs a fault, reconverges from the fault
@@ -122,10 +146,10 @@ int main(int argc, char** argv) {
   topo::FaultInjector injector(topology, /*seed=*/17);
   routing::BgpSimulator warm(topology, &injector, &registry, options);
 
-  std::array<double, 5> paired_warm{};
-  double reconverge_s = 1e300;
-  double cold_rerun_s = 1e300;
-  for (std::size_t probe = 0; probe < paired_warm.size(); ++probe) {
+  std::vector<double> reconverge_s;
+  std::vector<double> cold_rerun_s;
+  std::vector<double> paired_warm;
+  for (int probe = 0; probe < kPairs; ++probe) {
     injector.random_link_failures(1);
 
     auto start = std::chrono::steady_clock::now();
@@ -133,36 +157,39 @@ int main(int argc, char** argv) {
     const double run_warm = seconds_since(start);
 
     start = std::chrono::steady_clock::now();
-    const routing::BgpSimulator cold(topology, &injector, nullptr, options);
+    const routing::BgpSimulator cold_rerun(topology, &injector, nullptr,
+                                           options);
     const double run_cold = seconds_since(start);
 
     for (const topo::Device& device : topology.devices()) {
-      if (warm.rib(device.id) != cold.rib(device.id)) {
+      if (warm.rib(device.id) != cold_rerun.rib(device.id)) {
         std::printf("FATAL: warm/cold mismatch at %s\n",
                     device.name.c_str());
         return 3;
       }
     }
-    reconverge_s = std::min(reconverge_s, run_warm);
-    cold_rerun_s = std::min(cold_rerun_s, run_cold);
-    paired_warm[probe] = run_cold / run_warm;
+    reconverge_s.push_back(run_warm);
+    cold_rerun_s.push_back(run_cold);
+    paired_warm.push_back(run_cold / run_warm);
 
     injector.repair(0);
     warm.reconverge();
   }
-  std::sort(paired_warm.begin(), paired_warm.end());
-  const double warm_speedup = paired_warm[paired_warm.size() / 2];
-  std::printf("warm reconvergence after one link fault (%zu probes):\n",
-              paired_warm.size());
+  const Spread warm_ratio = spread(paired_warm);
+  std::printf("warm reconvergence after one link fault (%d probes, "
+              "median):\n",
+              kPairs);
   std::printf("  cold rerun of worklist engine: %8.2f ms\n",
-              1e3 * cold_rerun_s);
+              1e3 * spread(cold_rerun_s).p50);
   std::printf("  warm reconverge() from fault : %8.2f ms\n",
-              1e3 * reconverge_s);
-  std::printf("  warm speedup: %.1fx (acceptance floor 8x)\n\n",
-              warm_speedup);
-  report.value("warm_cold_rerun_s", "s", cold_rerun_s, "none");
-  report.value("warm_reconverge_s", "s", reconverge_s, "lower");
-  report.value("warm_speedup_ratio", "x", warm_speedup, "higher");
+              1e3 * spread(reconverge_s).p50);
+  std::printf("  warm speedup: %.1fx [p10 %.1fx, p90 %.1fx] "
+              "(acceptance floor 8x)\n\n",
+              warm_ratio.p50, warm_ratio.p10, warm_ratio.p90);
+  report.metric("warm_cold_rerun_s", "s", cold_rerun_s, "none");
+  report.metric("warm_reconverge_s", "s", reconverge_s, "lower");
+  report.metric("warm_speedup_ratio", "x", paired_warm, "higher");
+  const double warm_speedup = warm_ratio.p50;
 
   report.workload("devices", static_cast<double>(device_count));
   report.workload("links", static_cast<double>(topology.link_count()));

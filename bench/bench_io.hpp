@@ -11,8 +11,8 @@
 //     "workload": {"devices": 1248, ...},            // params, repeatability
 //     "metrics": {
 //       "<metric>": {"unit": "ns", "better": "lower", "count": N,
-//                    "mean": ..., "min": ..., "p50": ..., "p90": ...,
-//                    "p99": ..., "max": ...},
+//                    "mean": ..., "min": ..., "p10": ..., "p50": ...,
+//                    "p90": ..., "p99": ..., "max": ...},
 //       ...
 //     },
 //     "registry": {...} | null                        // obs snapshot
@@ -83,8 +83,8 @@ class BenchReport {
     for (const double s : samples) sum += s;
     Metric m{name, unit, better, samples.size(),
              sum / static_cast<double>(samples.size()),
-             samples.front(), rank(0.50), rank(0.90), rank(0.99),
-             samples.back()};
+             samples.front(), rank(0.10), rank(0.50), rank(0.90),
+             rank(0.99), samples.back()};
     metrics_.push_back(std::move(m));
   }
 
@@ -126,6 +126,7 @@ class BenchReport {
              "\",\"count\":" + std::to_string(m.count) +
              ",\"mean\":" + format_number(m.mean) +
              ",\"min\":" + format_number(m.min) +
+             ",\"p10\":" + format_number(m.p10) +
              ",\"p50\":" + format_number(m.p50) +
              ",\"p90\":" + format_number(m.p90) +
              ",\"p99\":" + format_number(m.p99) +
@@ -136,7 +137,8 @@ class BenchReport {
     // "none" keeps the comparator from gating on allocator noise.
     const obs::ProcessStats stats = obs::read_process_stats();
     const auto footprint = [](std::string name, double v) {
-      return Metric{std::move(name), "bytes", "none", 1, v, v, v, v, v, v};
+      return Metric{std::move(name), "bytes", "none", 1, v, v, v, v, v, v,
+                    v};
     };
     emit(footprint("process_rss_bytes",
                    static_cast<double>(stats.rss_bytes)));
@@ -176,7 +178,7 @@ class BenchReport {
     std::string unit;
     std::string better;
     std::size_t count;
-    double mean, min, p50, p90, p99, max;
+    double mean, min, p10, p50, p90, p99, max;
   };
 
   std::string name_;

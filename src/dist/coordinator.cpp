@@ -229,16 +229,16 @@ void Coordinator::handle_result(std::size_t worker_index, ResultMsg msg) {
   // is merged under it, so no snapshot ever sees children without their
   // parent.
   record_assign_span(shard, "assign");
-  if (!msg.trace_blob.empty()) {
+  // An untraced coordinator sends no trace context and keeps no remote
+  // spans; a blob arriving anyway has no assign span to hang under.
+  if (config_.trace != nullptr && !msg.trace_blob.empty()) {
     obs::DecodedTrace remote;
     if (obs::deserialize_trace(msg.trace_blob, remote)) {
       // Merger offset is local − remote; the estimator reports remote −
       // local. The floor pins the tree to start no earlier than its
       // assign, absorbing the ±rtt/2 estimation error.
       const std::chrono::nanoseconds floor =
-          config_.trace != nullptr
-              ? shard.assign_sent_at - config_.trace->epoch()
-              : std::chrono::nanoseconds{0};
+          shard.assign_sent_at - config_.trace->epoch();
       merger_->add_remote(worker.id, std::move(remote),
                           -worker.clock_sync.offset_ns(), shard.assign_span,
                           floor);
@@ -247,8 +247,8 @@ void Coordinator::handle_result(std::size_t worker_index, ResultMsg msg) {
       // is already decoded and counted.
       trace_decode_errors_->inc();
     }
-    msg.trace_blob.clear();
   }
+  msg.trace_blob.clear();
   shard.result = std::move(msg);
   shard.result_worker = worker.id;
   shard.owner.reset();
@@ -394,7 +394,8 @@ bool Coordinator::assign_pending_shards() {
     shard.hard_deadline = now + config_.shard_deadline;
     shard.lease_deadline = std::min(now + config_.lease, shard.hard_deadline);
     worker.active_shard = shard_index;
-    shard.assign_span = obs::allocate_span_id();
+    shard.assign_span =
+        config_.trace != nullptr ? obs::allocate_span_id() : 0;
     shard.assign_sent_at = now;
     AssignMsg assign;
     assign.shard_id = shard.id;
@@ -404,8 +405,10 @@ bool Coordinator::assign_pending_shards() {
     for (const topo::DeviceId device : shard.devices) {
       assign.devices.push_back({device, verdicts_.fingerprint(device)});
     }
-    assign.cycle_id = current_cycle_id_;
-    assign.parent_span = shard.assign_span;
+    if (config_.trace != nullptr) {
+      assign.cycle_id = current_cycle_id_;
+      assign.parent_span = shard.assign_span;
+    }
     assign.send_ns = static_cast<std::uint64_t>(now.time_since_epoch().count());
     if (!worker.transport->send(encode(assign))) {
       // lose_worker sees active_shard and requeues (or fails) the shard.

@@ -66,7 +66,8 @@ struct AssignMsg {
   std::vector<DeviceWork> devices;
   /// Trace context: the coordinator's monitoring-cycle id and the span id
   /// the worker's shard tree should hang under in the merged timeline.
-  /// Both 0 when the coordinator is not tracing.
+  /// Both 0 when the coordinator is not tracing; a worker then ships no
+  /// spans (ResultMsg::trace_blob stays empty).
   std::uint64_t cycle_id = 0;
   std::uint64_t parent_span = 0;
   /// Sender's steady clock at send; 0 = no clock sync.
@@ -125,7 +126,8 @@ struct ResultMsg {
   std::vector<DeviceReport> reports;
   std::vector<std::uint8_t> registry_blob;
   /// The worker's span tree for this shard, serialized as dcv-trace-v1
-  /// (obs::span_serde); empty when the worker recorded nothing. A blob
+  /// (obs::span_serde); empty when the assignment carried no trace context
+  /// (cycle_id 0) or the worker recorded nothing. A blob
   /// decode_result accepts but span_serde rejects degrades to a trace
   /// decode error at the coordinator — it never fails the shard.
   std::vector<std::uint8_t> trace_blob;

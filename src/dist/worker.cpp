@@ -108,27 +108,31 @@ bool WorkerSession::validate_shard(
 
   // The shard's span tree, shipped to the coordinator on the result frame
   // with *absolute* local-clock starts (the merger rebases them by the
-  // estimated offset). Bounded so a huge shard cannot inflate the result
-  // frame; the root span always ships, so children stay parentable.
+  // estimated offset) — only when the coordinator traces, which it signals
+  // with a non-zero cycle id. Bounded so a huge shard cannot inflate the
+  // result frame; the root span always ships, so children stay parentable.
+  // A local ring (config_.trace) mirrors every span either way.
   constexpr std::size_t kMaxTraceEventsPerShard = 8192;
+  const bool ship_trace = assignment.cycle_id != 0;
   const std::uint64_t shard_span = obs::allocate_span_id();
   std::vector<obs::TraceEvent> trace_events;
   std::uint64_t trace_dropped = 0;
   const auto add_span = [&](std::string_view name,
                             std::chrono::steady_clock::time_point span_start,
                             std::chrono::nanoseconds duration) {
-    if (trace_events.size() >= kMaxTraceEventsPerShard) {
-      ++trace_dropped;
-      return;
+    const bool ship =
+        ship_trace && trace_events.size() < kMaxTraceEventsPerShard;
+    if (ship_trace && !ship) ++trace_dropped;
+    if (!ship && config_.trace == nullptr) return;
+    const std::uint64_t id = obs::allocate_span_id();
+    if (ship) {
+      trace_events.push_back({std::string(name), id, shard_span,
+                              assignment.cycle_id, obs::thread_index(),
+                              span_start.time_since_epoch(), duration});
     }
-    trace_events.push_back({std::string(name), obs::allocate_span_id(),
-                            shard_span, assignment.cycle_id,
-                            obs::thread_index(),
-                            span_start.time_since_epoch(), duration});
     if (config_.trace != nullptr) {
-      const obs::TraceEvent& event = trace_events.back();
-      config_.trace->record_span(name, event.id, shard_span,
-                                 assignment.cycle_id, span_start, duration);
+      config_.trace->record_span(name, id, shard_span, assignment.cycle_id,
+                                 span_start, duration);
     }
   };
 
@@ -188,17 +192,19 @@ bool WorkerSession::validate_shard(
 
   const auto finished = clock_->now();
   result.elapsed_ns = static_cast<std::uint64_t>((finished - start).count());
-  // The shard root (parent 0: the coordinator re-parents batch roots under
-  // the assign span) rides past the cap so children always resolve.
-  trace_events.push_back({"shard", shard_span, /*parent=*/0,
-                          assignment.cycle_id, obs::thread_index(),
-                          start.time_since_epoch(), finished - start});
   if (config_.trace != nullptr) {
     config_.trace->record_span("shard", shard_span, 0, assignment.cycle_id,
                                start, finished - start);
   }
-  result.trace_blob = obs::serialize_trace(
-      trace_events, std::chrono::nanoseconds{0}, trace_dropped);
+  if (ship_trace) {
+    // The shard root (parent 0: the coordinator re-parents batch roots
+    // under the assign span) rides past the cap so children always resolve.
+    trace_events.push_back({"shard", shard_span, /*parent=*/0,
+                            assignment.cycle_id, obs::thread_index(),
+                            start.time_since_epoch(), finished - start});
+    result.trace_blob = obs::serialize_trace(
+        trace_events, std::chrono::nanoseconds{0}, trace_dropped);
+  }
   if (config_.metrics != nullptr) {
     result.registry_blob = obs::serialize_registry(*config_.metrics);
   }

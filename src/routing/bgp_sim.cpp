@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <functional>
+#include <iterator>
 #include <thread>
 #include <unordered_map>
 
@@ -16,18 +17,33 @@ namespace {
 using topo::Asn;
 using topo::DeviceId;
 
-/// A route as received from one neighbor during one device step. The path
-/// view borrows the global PathTable's storage (append-only, immutable), so
-/// it is valid for the whole run; path_id is the same path's interned
-/// identity, carried so selection results can reference it without
-/// re-interning.
-struct Candidate {
-  net::Prefix prefix;
-  DeviceId neighbor = topo::kInvalidDevice;
-  PathId path_id = kEmptyPathId;
-  std::span<const Asn> path;
-  topo::DatacenterId origin_datacenter = 0;
+/// One neighbor's feed into a device step: a cursor over the neighbor's
+/// sorted RIB entries plus the export facts that are fixed per neighbor.
+/// Feeds are sorted by neighbor id with parallel sessions folded into one,
+/// so the next hops selection collects are already sorted and distinct.
+struct Feed {
+  const RibEntry* it = nullptr;
+  const RibEntry* end = nullptr;
+  const topo::Device* neighbor = nullptr;
+  /// Interned [neighbor ASN]: the path of the neighbor's connected routes.
+  PathId origin_path = kEmptyPathId;
+  /// Usable sessions to this neighbor; each one announces the same routes.
+  std::uint32_t sessions = 1;
+  /// Dirty rounds: reach the next dirty prefix by lower_bound rather than a
+  /// linear walk, because the dirty set is narrow next to this RIB.
+  bool skip = false;
 };
+
+bool entry_before(const RibEntry& entry, const net::Prefix& prefix) {
+  return entry.prefix < prefix;
+}
+
+/// Approximate resident bytes of a node-based memo.
+template <typename Map>
+std::size_t memo_bytes(const Map& map) {
+  return map.bucket_count() * sizeof(void*) +
+         map.size() * (sizeof(typename Map::value_type) + sizeof(void*));
+}
 
 }  // namespace
 
@@ -46,24 +62,6 @@ const RibEntry& Rib::at(const net::Prefix& prefix) const {
   const RibEntry* entry = find(prefix);
   if (entry == nullptr) throw InvalidArgument("no RIB entry for prefix");
   return *entry;
-}
-
-void Rib::append(const net::Prefix& prefix, PathId path,
-                 std::span<const topo::DeviceId> hops, bool connected,
-                 topo::DatacenterId origin_datacenter) {
-  RibEntry entry;
-  entry.prefix = prefix;
-  entry.path = path;
-  entry.connected = connected;
-  entry.origin_datacenter = origin_datacenter;
-  entry.hop_count = static_cast<std::uint16_t>(hops.size());
-  if (hops.size() <= RibEntry::kInlineHops) {
-    std::copy(hops.begin(), hops.end(), entry.hop_words.begin());
-  } else {
-    entry.hop_words[0] = static_cast<std::uint32_t>(arena_.size());
-    arena_.insert(arena_.end(), hops.begin(), hops.end());
-  }
-  entries_.push_back(entry);
 }
 
 void Rib::sort_by_prefix() {
@@ -113,18 +111,54 @@ ForwardingTable program_fib(const Rib& rib, const topo::FaultInjector* faults,
 // Worker state and pool
 
 struct BgpSimulator::WorkerState {
-  std::vector<Candidate> candidates;
-  std::vector<DeviceId> hops_scratch;
+  /// A changed device's complete new RIB, moved into place by the commit.
+  struct Emitted {
+    DeviceId device = topo::kInvalidDevice;
+    Rib rib;
+    /// Some route this device announces changed (not only next hops).
+    bool announces = false;
+  };
+
+  std::vector<Feed> feeds;
+  /// Locally originated prefixes of the current device in scope, sorted.
+  std::vector<net::Prefix> owned;
+  std::vector<DeviceId> hops;
   std::vector<Asn> path_scratch;
-  /// Recomputed entries; only moved out when the device actually changed,
-  /// so the storage is reused across the (common) unchanged devices.
-  Rib fresh;
+  /// Selection results for the prefixes in scope: the whole RIB in a full
+  /// recompute, the dirty prefixes' entries otherwise.
+  Rib selected;
+  /// A dirty round's complete RIB: clean old entries merged with `selected`.
+  Rib merged;
+  /// Prefixes whose announcement changed at the current device, sorted.
+  std::vector<net::Prefix> device_changed;
+  /// Sorted union of device_changed over this worker's devices this round.
+  std::vector<net::Prefix> round_changed;
+  std::vector<net::Prefix> union_scratch;
+  std::vector<Emitted> emitted;
   /// Rewrite memos: intern() results are pure functions of their inputs, so
-  /// one hash probe replaces the stripe lock + payload copy on repeats.
-  std::unordered_map<Asn, PathId> origin_memo;          // [asn] origination
-  std::unordered_map<PathId, PathId> strip_memo;        // private-ASN strip
-  std::unordered_map<std::uint64_t, PathId> prepend_memo;  // (asn, path)
+  /// one hash probe replaces the stripe lock + payload copy on repeats. Both
+  /// are bounded by the fabric's ASNs and regional-relayed paths.
+  std::unordered_map<Asn, PathId> origin_memo;    // [asn] origination
+  std::unordered_map<PathId, PathId> strip_memo;  // private-ASN strip
+  /// Last own-ASN prepend: (own ASN, chosen path) → interned result. Those
+  /// pairs are nearly all distinct across a cold pass, so a map of them
+  /// grows with the route count and rarely hits.
+  Asn prepend_asn = 0;
+  PathId prepend_from = kEmptyPathId;
+  PathId prepend_to = kEmptyPathId;  // kEmptyPathId: nothing cached yet
   std::uint64_t routes_propagated = 0;
+
+  /// Bytes this worker keeps between runs.
+  [[nodiscard]] std::size_t bytes() const {
+    return feeds.capacity() * sizeof(Feed) +
+           (owned.capacity() + device_changed.capacity() +
+            round_changed.capacity() + union_scratch.capacity()) *
+               sizeof(net::Prefix) +
+           hops.capacity() * sizeof(DeviceId) +
+           path_scratch.capacity() * sizeof(Asn) + selected.memory_bytes() +
+           merged.memory_bytes() + emitted.capacity() * sizeof(Emitted) +
+           memo_bytes(origin_memo) + memo_bytes(strip_memo);
+  }
 };
 
 /// A persistent pool: N-1 spawned threads plus the calling thread. run()
@@ -225,6 +259,10 @@ BgpSimulator::BgpSimulator(const topo::Topology& topology,
     paths_gauge_ = &metrics_->gauge(
         "dcv_bgp_paths_interned",
         "Distinct AS-paths hash-consed in the global PathTable");
+    scratch_gauge_ = &metrics_->gauge(
+        "dcv_bgp_scratch_bytes",
+        "Bytes the simulator keeps between runs outside the route state: "
+        "worker feed and selection buffers, scratch RIBs and rewrite memos");
     fib_rebuilds_ = &metrics_->counter(
         "dcv_bgp_fib_rebuilds_total",
         "ForwardingTable materializations from a converged RIB");
@@ -429,23 +467,19 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
   int rounds = 0;
   // Convergence is bounded by the network diameter; the cap is a safety net.
   constexpr int kMaxRounds = 64;
-  std::vector<Rib> results;
-  std::vector<std::uint8_t> changed;
   std::vector<std::uint8_t> queued(devices.size(), 0);
   std::vector<DeviceId> next;
   // Prefixes whose entries changed anywhere in the previous round, sorted.
   // The seed round recomputes its devices in full (external state changed
   // under them); every later round only reselects dirty prefixes.
   std::vector<net::Prefix> dirty;
-  std::vector<net::Prefix> next_dirty;
   bool seed_round = true;
 
   while (!frontier.empty() && rounds < kMaxRounds) {
     ++rounds;
     if (frontier_hist_ != nullptr) frontier_hist_->observe(frontier.size());
-    results.assign(frontier.size(), Rib{});
-    changed.assign(frontier.size(), 0);
     const std::vector<net::Prefix>* round_dirty = seed_round ? nullptr : &dirty;
+    for (const auto& worker : workers_) worker->round_changed.clear();
 
     std::atomic<std::size_t> cursor{0};
     const auto job = [&](unsigned worker) {
@@ -453,10 +487,7 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
       while (true) {
         const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
         if (i >= frontier.size()) break;
-        changed[i] = process_device(devices[frontier[i]], state, results[i],
-                                    round_dirty)
-                         ? 1
-                         : 0;
+        process_device(devices[frontier[i]], state, round_dirty);
       }
     };
     if (workers_.size() > 1 &&
@@ -470,155 +501,169 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
       job(0);
     }
 
-    // Commit changed results: splice partial (dirty-only) results over the
-    // previous state, record which prefixes changed for the next round's
-    // dirty set, and enqueue usable-link neighbors as the next frontier.
+    // Commit: workers already built every changed device's complete RIB
+    // and the prefixes whose announcements changed, so this moves the RIBs
+    // into place, unions the workers' changed prefixes into the next dirty
+    // set, and enqueues the usable-link neighbors of announcing devices as
+    // the next frontier.
     next.clear();
-    next_dirty.clear();
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      if (!changed[i]) continue;
-      const DeviceId d = frontier[i];
-      if (round_dirty == nullptr) {
-        // Full recompute: diff old vs new for the dirty set, then adopt the
-        // fresh Rib wholesale (entries + arena move together).
-        const Rib& fresh = results[i];
-        const Rib& old = ribs_[d];
-        auto oit = old.begin();
-        auto fit = fresh.begin();
-        while (oit != old.end() || fit != fresh.end()) {
-          if (fit == fresh.end() ||
-              (oit != old.end() && oit->prefix < fit->prefix)) {
-            next_dirty.push_back((oit++)->prefix);  // entry removed
-          } else if (oit == old.end() || fit->prefix < oit->prefix) {
-            next_dirty.push_back((fit++)->prefix);  // entry added
-          } else {
-            if (!Rib::entry_equal(old, *oit, fresh, *fit)) {
-              next_dirty.push_back(fit->prefix);
-            }
-            ++oit;
-            ++fit;
-          }
-        }
-        ribs_[d] = std::move(results[i]);
-      } else {
-        // Partial recompute: the result holds entries for dirty prefixes
-        // only. Merge-walk old entries with the fresh ones into the
-        // recycled scratch Rib (entry records and hop lists land in its
-        // retained buffers — no allocation once warm); an old dirty-prefix
-        // entry with no fresh counterpart was withdrawn.
-        const Rib& fresh = results[i];
-        const Rib& old = ribs_[d];
-        merge_scratch_.clear();
-        merge_scratch_.reserve(old.size() + fresh.size(), 0);
-        auto dit = round_dirty->begin();
-        auto fit = fresh.begin();
-        for (const RibEntry& entry : old) {
-          while (fit != fresh.end() && fit->prefix < entry.prefix) {
-            next_dirty.push_back(fit->prefix);  // entry added
-            merge_scratch_.append_from(fresh, *fit);
-            ++fit;
-          }
-          while (dit != round_dirty->end() && *dit < entry.prefix) ++dit;
-          if (dit == round_dirty->end() || *dit != entry.prefix) {
-            merge_scratch_.append_from(old, entry);  // clean prefix: keep
+    dirty.clear();
+    bool hops_only_changed = false;
+    for (const auto& worker : workers_) {
+      for (WorkerState::Emitted& emitted : worker->emitted) {
+        const DeviceId d = emitted.device;
+        ribs_[d] = std::move(emitted.rib);
+        invalidate_fib(d);
+        for (const topo::LinkId lid : topology_->links_of(d)) {
+          const topo::Link& link = topology_->link(lid);
+          if (!link.usable()) continue;
+          if (!emitted.announces) {
+            hops_only_changed = true;
             continue;
           }
-          if (fit != fresh.end() && fit->prefix == entry.prefix) {
-            if (!Rib::entry_equal(old, entry, fresh, *fit)) {
-              next_dirty.push_back(fit->prefix);
-            }
-            merge_scratch_.append_from(fresh, *fit);
-            ++fit;
-          } else {
-            next_dirty.push_back(entry.prefix);  // withdrawn
+          const DeviceId neighbor = link.other(d);
+          if (!queued[neighbor]) {
+            queued[neighbor] = 1;
+            next.push_back(neighbor);
           }
         }
-        for (; fit != fresh.end(); ++fit) {
-          next_dirty.push_back(fit->prefix);
-          merge_scratch_.append_from(fresh, *fit);
-        }
-        // The displaced Rib becomes the next merge's scratch, keeping its
-        // entry and arena capacity in rotation.
-        std::swap(ribs_[d], merge_scratch_);
       }
-      invalidate_fib(d);
-      for (const topo::LinkId lid : topology_->links_of(d)) {
-        const topo::Link& link = topology_->link(lid);
-        if (!link.usable()) continue;
-        const DeviceId neighbor = link.other(d);
-        if (!queued[neighbor]) {
-          queued[neighbor] = 1;
-          next.push_back(neighbor);
-        }
-      }
+      worker->emitted.clear();
+      dirty.insert(dirty.end(), worker->round_changed.begin(),
+                   worker->round_changed.end());
     }
+    std::sort(dirty.begin(), dirty.end());
+    dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+    // Commit order depends on which worker took which device; sorting keeps
+    // the frontier (and so the work split) reproducible.
+    std::sort(next.begin(), next.end());
     for (const DeviceId d : next) queued[d] = 0;
-    frontier = next;
-    std::sort(next_dirty.begin(), next_dirty.end());
-    next_dirty.erase(std::unique(next_dirty.begin(), next_dirty.end()),
-                     next_dirty.end());
-    std::swap(dirty, next_dirty);
+    // Rounds count through the first round in which no RIB changes, as the
+    // reference engine's do. When this round changed only next hops, that
+    // round would reselect nothing any neighbor reads, so it is counted
+    // without being run.
+    if (next.empty() && hops_only_changed && rounds < kMaxRounds) ++rounds;
+    frontier.swap(next);
     seed_round = false;
   }
   return rounds;
 }
 
-bool BgpSimulator::process_device(const topo::Device& d, WorkerState& state,
-                                  Rib& out,
+void BgpSimulator::process_device(const topo::Device& d, WorkerState& state,
                                   const std::vector<net::Prefix>* dirty) const {
   PathTable& table = global_path_table();
-  Rib& fresh = state.fresh;
-  fresh.clear();
-  const auto is_dirty = [dirty](const net::Prefix& p) {
+  const Rib& old = ribs_[d.id];
+  const bool tor = d.role == topo::DeviceRole::kTor;
+  const bool regional = d.role == topo::DeviceRole::kRegionalSpine;
+
+  // Locally originated prefixes in scope (all in a full recompute, the
+  // dirty ones otherwise), sorted so they merge into the selection stream.
+  const auto in_scope = [dirty](const net::Prefix& p) {
     return dirty == nullptr ||
            std::binary_search(dirty->begin(), dirty->end(), p);
   };
-  std::size_t connected_count = 0;
-  if (d.role == topo::DeviceRole::kTor) {
+  state.owned.clear();
+  if (tor) {
     for (const net::Prefix& p : d.hosted_prefixes) {
-      if (!is_dirty(p)) continue;
-      fresh.append(p, kEmptyPathId, {}, /*connected=*/true, d.datacenter);
+      if (in_scope(p)) state.owned.push_back(p);
     }
-    connected_count = fresh.size();
-  } else if (d.role == topo::DeviceRole::kRegionalSpine) {
-    if (is_dirty(net::Prefix::default_route())) {
-      fresh.append(net::Prefix::default_route(), kEmptyPathId, {},
-                   /*connected=*/true, topo::kNoDatacenter);
-      connected_count = 1;
-    }
+    std::sort(state.owned.begin(), state.owned.end());
+    state.owned.erase(std::unique(state.owned.begin(), state.owned.end()),
+                      state.owned.end());
+  } else if (regional && in_scope(net::Prefix::default_route())) {
+    state.owned.push_back(net::Prefix::default_route());
   }
+  const topo::DatacenterId owned_origin =
+      tor ? d.datacenter : topo::kNoDatacenter;
 
-  // Collect acceptable announcements from all usable sessions. Path views
-  // borrow the global PathTable's storage; rewrites (connected origination,
-  // private-ASN stripping) are pure functions of their inputs, so the
-  // per-worker memos reduce them to one hash probe with no stripe-lock
-  // traffic. In dirty mode only the neighbors' entries for dirty prefixes
-  // are considered — entries for clean prefixes are bit-identical to last
-  // round, so they cannot change this device's selection.
-  state.candidates.clear();
+  // One feed per neighbor with a usable session, in neighbor-id order.
+  state.feeds.clear();
   for (const topo::LinkId lid : topology_->links_of(d.id)) {
     const topo::Link& link = topology_->link(lid);
     if (!link.usable()) continue;
-    const topo::Device& n = topology_->device(link.other(d.id));
+    state.feeds.push_back(
+        Feed{.neighbor = &topology_->device(link.other(d.id))});
+  }
+  std::sort(state.feeds.begin(), state.feeds.end(),
+            [](const Feed& a, const Feed& b) {
+              return a.neighbor->id < b.neighbor->id;
+            });
+  std::size_t feed_count = 0;
+  for (const Feed& feed : state.feeds) {
+    if (feed_count > 0 &&
+        state.feeds[feed_count - 1].neighbor == feed.neighbor) {
+      ++state.feeds[feed_count - 1].sessions;  // parallel link
+    } else {
+      state.feeds[feed_count++] = feed;
+    }
+  }
+  state.feeds.resize(feed_count);
+  for (Feed& feed : state.feeds) {
+    const std::vector<RibEntry>& entries = ribs_[feed.neighbor->id].entries();
+    feed.it = entries.data();
+    feed.end = entries.data() + entries.size();
+    feed.skip = dirty != nullptr && dirty->size() * 8 < entries.size();
+    const Asn asn = feed.neighbor->asn;
+    const auto [it, inserted] = state.origin_memo.try_emplace(asn, 0);
+    if (inserted) it->second = table.intern(std::span<const Asn>(&asn, 1));
+    feed.origin_path = it->second;
+  }
 
-    const auto consider = [&](const RibEntry& entry) {
+  // Best-path selection for one prefix over the feeds positioned on it:
+  // shortest AS-path wins, ECMP across all equally-short neighbors,
+  // deterministic (lexicographically least) representative path. Locally
+  // originated entries always win. Export policy of each neighbor toward
+  // d, then import policy of d, is applied per announcement; path views
+  // borrow the global PathTable's storage.
+  Rib& selected = state.selected;
+  selected.clear();
+  auto owned_it = state.owned.begin();
+  const auto append_owned = [&] {
+    selected.append(*owned_it++, kEmptyPathId, {}, /*connected=*/true,
+                    owned_origin);
+  };
+  // The old entry of a prefix being selected; selections run in prefix
+  // order, so one forward cursor serves them all.
+  const std::vector<RibEntry>& old_entries = old.entries();
+  auto old_it = old_entries.begin();
+  const bool old_skip = dirty != nullptr && dirty->size() * 8 < old.size();
+  const auto old_entry = [&](const net::Prefix& prefix) -> const RibEntry* {
+    if (old_skip) {
+      old_it = std::lower_bound(old_it, old_entries.end(), prefix,
+                                entry_before);
+    } else {
+      while (old_it != old_entries.end() && old_it->prefix < prefix) ++old_it;
+    }
+    return old_it != old_entries.end() && old_it->prefix == prefix ? &*old_it
+                                                                   : nullptr;
+  };
+  const bool reject_default = snap_reject_default_[d.id] != 0;
+  const auto select = [&](const net::Prefix prefix) {
+    while (owned_it != state.owned.end() && *owned_it < prefix) {
+      append_owned();
+    }
+    const bool owned = owned_it != state.owned.end() && *owned_it == prefix;
+    if (owned) append_owned();
+    // Route-map misconfiguration (§2.6.2 "Policy Errors").
+    const bool rejected = reject_default && prefix.is_default();
+    std::size_t best_len = SIZE_MAX;
+    std::span<const Asn> chosen;
+    PathId chosen_id = kEmptyPathId;
+    topo::DatacenterId origin = 0;
+    state.hops.clear();
+    for (Feed& feed : state.feeds) {
+      if (feed.it == feed.end || feed.it->prefix != prefix) continue;
+      const RibEntry& entry = *feed.it++;
+      if (rejected) continue;
+      const topo::Device& n = *feed.neighbor;
       // -- export policy of n toward d --
-      PathId path_id;
-      if (entry.connected) {
-        const auto [it, inserted] = state.origin_memo.try_emplace(n.asn, 0);
-        if (inserted) {
-          it->second = table.intern(std::span<const Asn>(&n.asn, 1));
-        }
-        path_id = it->second;
-      } else {
-        path_id = entry.path;  // already begins with n.asn
-      }
+      PathId path_id = entry.connected ? feed.origin_path : entry.path;
       std::span<const Asn> path = table.view(path_id);
       if (n.role == topo::DeviceRole::kRegionalSpine) {
         // Never hairpin a datacenter's own routes back into it.
         if (entry.origin_datacenter != topo::kNoDatacenter &&
             d.datacenter == entry.origin_datacenter) {
-          return;
+          continue;
         }
         // Strip private ASNs from the relayed tail (§2.1) so that
         // private-ASN reuse across datacenters cannot cause loop-prevention
@@ -640,161 +685,197 @@ bool BgpSimulator::process_device(const topo::Device& d, WorkerState& state,
           path = table.view(path_id);
         }
       }
-
       // -- import policy of d --
-      if (snap_reject_default_[d.id] && entry.prefix.is_default()) {
-        return;  // route-map misconfiguration (§2.6.2 "Policy Errors")
-      }
-      if (d.role == topo::DeviceRole::kRegionalSpine) {
+      if (regional) {
         // Tier-peer rule: never re-import a route that already traversed
         // the regional layer (keeps regionals on their own originated
         // default and forbids regional-spine valleys).
-        if (!std::all_of(path.begin(), path.end(), is_private_asn)) return;
-      } else if (d.role != topo::DeviceRole::kTor) {
+        if (!std::all_of(path.begin(), path.end(), is_private_asn)) continue;
+      } else if (!tor) {
         // ToR upstream sessions accept paths containing the (reused) ToR
         // ASN of a sibling rack (§2.1); everyone else rejects own-ASN
         // paths.
         if (std::find(path.begin(), path.end(), d.asn) != path.end()) {
-          return;
+          continue;
         }
       }
-
-      ++state.routes_propagated;
-      state.candidates.push_back(
-          Candidate{.prefix = entry.prefix,
-                    .neighbor = n.id,
-                    .path_id = path_id,
-                    .path = path,
-                    .origin_datacenter = entry.origin_datacenter});
-    };
-
-    if (dirty == nullptr) {
-      for (const RibEntry& entry : ribs_[n.id]) consider(entry);
-    } else {
-      // Monotone merge of the sorted dirty set against the neighbor's
-      // sorted entries: linear two-pointer when the dirty set is a big
-      // fraction of the RIB (early cold rounds), binary-search skips when
-      // it is narrow (warm reconvergence tails).
-      const auto& neighbor_entries = ribs_[n.id].entries();
-      if (dirty->size() * 8 >= neighbor_entries.size()) {
-        auto dit = dirty->begin();
-        for (const RibEntry& entry : neighbor_entries) {
-          while (dit != dirty->end() && *dit < entry.prefix) ++dit;
-          if (dit == dirty->end()) break;
-          if (*dit == entry.prefix) consider(entry);
-        }
-      } else {
-        auto eit = neighbor_entries.begin();
-        for (const net::Prefix& p : *dirty) {
-          eit = std::lower_bound(eit, neighbor_entries.end(), p,
-                                 [](const RibEntry& e, const net::Prefix& pp) {
-                                   return e.prefix < pp;
-                                 });
-          if (eit == neighbor_entries.end()) break;
-          if (eit->prefix == p) consider(*eit++);
-        }
+      state.routes_propagated += feed.sessions;
+      if (owned) continue;
+      // Feeds run in neighbor-id order, one per neighbor, so hops are
+      // collected sorted and distinct: no canonicalize pass.
+      if (path.size() < best_len) {
+        best_len = path.size();
+        state.hops.clear();
+      } else if (path.size() > best_len) {
+        continue;
+      } else if (path_id == chosen_id ||
+                 !std::ranges::lexicographical_compare(path, chosen)) {
+        state.hops.push_back(n.id);
+        continue;
+      }
+      state.hops.push_back(n.id);
+      chosen = path;
+      chosen_id = path_id;
+      origin = entry.origin_datacenter;
+    }
+    if (owned || best_len == SIZE_MAX) return;
+    // Prepend our own ASN. A reselected prefix usually keeps its path (only
+    // hops move on a settling wave or a warm reconverge), so the old
+    // entry's id is reused after a compare of a few ASNs; consecutive
+    // prefixes that pick the same path (a datacenter's routes relayed by a
+    // regional spine) hit the last result; the rest are interned.
+    PathId path_id = kEmptyPathId;
+    if (const RibEntry* prev = old_entry(prefix);
+        prev != nullptr && !prev->connected) {
+      const std::span<const Asn> prev_path = table.view(prev->path);
+      if (prev_path.size() == chosen.size() + 1 &&
+          prev_path.front() == d.asn &&
+          std::equal(chosen.begin(), chosen.end(), prev_path.begin() + 1)) {
+        path_id = prev->path;
       }
     }
-  }
-
-  std::sort(state.candidates.begin(), state.candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              return a.prefix < b.prefix;
-            });
-
-  // Best-path selection per prefix group: shortest AS-path wins, ECMP
-  // across all equally-short neighbors, deterministic (lexicographically
-  // least) representative path. Locally originated entries always win.
-  for (std::size_t i = 0; i < state.candidates.size();) {
-    std::size_t j = i;
-    while (j < state.candidates.size() &&
-           state.candidates[j].prefix == state.candidates[i].prefix) {
-      ++j;
-    }
-    const net::Prefix prefix = state.candidates[i].prefix;
-    bool owned = false;
-    for (std::size_t c = 0; c < connected_count; ++c) {
-      if (fresh.entries()[c].prefix == prefix) {
-        owned = true;
-        break;
-      }
-    }
-    if (!owned) {
-      std::size_t best_len = SIZE_MAX;
-      for (std::size_t k = i; k < j; ++k) {
-        best_len = std::min(best_len, state.candidates[k].path.size());
-      }
-      state.hops_scratch.clear();
-      std::span<const Asn> chosen;
-      PathId chosen_id = kEmptyPathId;
-      bool have_chosen = false;
-      topo::DatacenterId origin = 0;
-      for (std::size_t k = i; k < j; ++k) {
-        const Candidate& c = state.candidates[k];
-        if (c.path.size() != best_len) continue;
-        state.hops_scratch.push_back(c.neighbor);
-        if (!have_chosen ||
-            std::ranges::lexicographical_compare(c.path, chosen)) {
-          chosen = c.path;
-          chosen_id = c.path_id;
-          origin = c.origin_datacenter;
-          have_chosen = true;
-        }
-      }
-      canonicalize(state.hops_scratch);
-      // Prepend our own ASN; memoized on (asn, chosen path) since prefix
-      // groups across devices overwhelmingly select the same paths.
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(d.asn) << 32) | chosen_id;
-      const auto [it, inserted] = state.prepend_memo.try_emplace(key, 0);
-      if (inserted) {
+    if (path_id == kEmptyPathId) {
+      if (state.prepend_to == kEmptyPathId || d.asn != state.prepend_asn ||
+          chosen_id != state.prepend_from) {
         state.path_scratch.clear();
-        state.path_scratch.reserve(chosen.size() + 1);
         state.path_scratch.push_back(d.asn);
         state.path_scratch.insert(state.path_scratch.end(), chosen.begin(),
                                   chosen.end());
-        it->second = table.intern(state.path_scratch);
+        state.prepend_asn = d.asn;
+        state.prepend_from = chosen_id;
+        state.prepend_to = table.intern(state.path_scratch);
       }
-      fresh.append(prefix, it->second, state.hops_scratch,
-                   /*connected=*/false, origin);
+      path_id = state.prepend_to;
     }
-    i = j;
+    selected.append(prefix, path_id, state.hops,
+                    /*connected=*/false, origin);
+  };
+
+  if (dirty == nullptr) {
+    // k-way merge over the feeds' sorted entries: each step selects the
+    // least prefix any feed is positioned on.
+    while (true) {
+      const net::Prefix* least = nullptr;
+      for (const Feed& feed : state.feeds) {
+        if (feed.it != feed.end && (least == nullptr || feed.it->prefix < *least)) {
+          least = &feed.it->prefix;
+        }
+      }
+      if (least == nullptr) break;
+      select(*least);
+    }
+  } else {
+    // Only dirty prefixes are reselected — entries for clean prefixes are
+    // bit-identical to last round, so they cannot change this device's
+    // selection. Each feed walks forward to the next dirty prefix, linearly
+    // when the dirty set is a big fraction of its RIB (early cold rounds),
+    // by binary-search skips when it is narrow (warm reconvergence tails).
+    for (const net::Prefix& prefix : *dirty) {
+      bool live = owned_it != state.owned.end();
+      for (Feed& feed : state.feeds) {
+        if (feed.skip) {
+          feed.it = std::lower_bound(feed.it, feed.end, prefix, entry_before);
+        } else {
+          while (feed.it != feed.end && feed.it->prefix < prefix) ++feed.it;
+        }
+        live = live || feed.it != feed.end;
+      }
+      if (!live) break;
+      select(prefix);
+    }
+  }
+  while (owned_it != state.owned.end()) append_owned();
+
+  // Change detection and the complete new RIB are built here in the worker
+  // (parallel), so the single-threaded commit only moves RIBs. Unchanged
+  // devices — the common case on a settling wave — emit nothing. Neighbors
+  // read an entry's presence, path, connected flag and origin, never its
+  // next hops: a hop-only change rewrites this RIB but cannot move any
+  // neighbor's selection, so only announcement changes are listed for the
+  // next dirty set.
+  state.device_changed.clear();
+  bool rib_changed = false;
+  const auto appeared_or_withdrawn = [&](const net::Prefix& prefix) {
+    rib_changed = true;
+    state.device_changed.push_back(prefix);
+  };
+  const auto compare = [&](const RibEntry& before, const RibEntry& after) {
+    if (Rib::entry_equal(old, before, selected, after)) return;
+    rib_changed = true;
+    if (before.path != after.path || before.connected != after.connected ||
+        before.origin_datacenter != after.origin_datacenter) {
+      state.device_changed.push_back(after.prefix);
+    }
+  };
+  const Rib* complete = &selected;
+  if (dirty == nullptr) {
+    auto oit = old.begin();
+    auto sit = selected.begin();
+    while (oit != old.end() || sit != selected.end()) {
+      if (sit == selected.end() ||
+          (oit != old.end() && oit->prefix < sit->prefix)) {
+        appeared_or_withdrawn((oit++)->prefix);
+      } else if (oit == old.end() || sit->prefix < oit->prefix) {
+        appeared_or_withdrawn((sit++)->prefix);
+      } else {
+        compare(*oit++, *sit++);
+      }
+    }
+    if (!rib_changed) return;
+  } else {
+    // `selected` holds exactly the surviving dirty-prefix routes; compare
+    // against the old entries restricted to the dirty set.
+    auto oit = old_entries.begin();
+    auto sit = selected.begin();
+    for (const net::Prefix& prefix : *dirty) {
+      if (old_skip) {
+        oit = std::lower_bound(oit, old_entries.end(), prefix, entry_before);
+      } else {
+        while (oit != old_entries.end() && oit->prefix < prefix) ++oit;
+      }
+      const bool in_old = oit != old_entries.end() && oit->prefix == prefix;
+      const bool in_new = sit != selected.end() && sit->prefix == prefix;
+      if (in_old && in_new) {
+        compare(*oit++, *sit++);
+      } else if (in_old || in_new) {
+        appeared_or_withdrawn(prefix);
+        if (in_old) ++oit;
+        if (in_new) ++sit;
+      }
+    }
+    if (!rib_changed) return;
+
+    // Splice: old entries for clean prefixes, selections for dirty ones (an
+    // old dirty-prefix entry with no selection was withdrawn).
+    Rib& merged = state.merged;
+    merged.clear();
+    auto dit = dirty->begin();
+    sit = selected.begin();
+    for (const RibEntry& entry : old) {
+      while (sit != selected.end() && sit->prefix < entry.prefix) {
+        merged.append_from(selected, *sit++);
+      }
+      while (dit != dirty->end() && *dit < entry.prefix) ++dit;
+      if (dit == dirty->end() || *dit != entry.prefix) {
+        merged.append_from(old, entry);  // clean prefix: keep
+      } else if (sit != selected.end() && sit->prefix == entry.prefix) {
+        merged.append_from(selected, *sit++);
+      }
+    }
+    for (; sit != selected.end(); ++sit) merged.append_from(selected, *sit);
+    complete = &merged;
   }
 
-  // Change detection happens here in the worker (parallel) rather than in
-  // the single-threaded commit. Unchanged devices — the common case on a
-  // settling wave — leave `out` untouched and keep their scratch storage.
-  fresh.sort_by_prefix();
-  const Rib& old = ribs_[d.id];
-  if (dirty == nullptr) {
-    if (fresh == old) return false;
-  } else {
-    // `fresh` holds exactly the surviving dirty-prefix routes; compare
-    // against the old entries restricted to the dirty set.
-    bool device_changed = false;
-    auto dit = dirty->begin();
-    auto fit = fresh.begin();
-    for (const RibEntry& old_entry : old) {
-      if (fit != fresh.end() && fit->prefix < old_entry.prefix) {
-        device_changed = true;  // route appeared for a prefix the device lacked
-        break;
-      }
-      while (dit != dirty->end() && *dit < old_entry.prefix) ++dit;
-      if (dit == dirty->end() || *dit != old_entry.prefix) continue;
-      if (fit == fresh.end() || fit->prefix != old_entry.prefix ||
-          !Rib::entry_equal(old, old_entry, fresh, *fit)) {
-        device_changed = true;  // route withdrawn or modified
-        break;
-      }
-      ++fit;
-    }
-    if (!device_changed && fit != fresh.end()) {
-      device_changed = true;  // trailing adds
-    }
-    if (!device_changed) return false;
-  }
-  out = std::move(fresh);
-  return true;
+  // The copy is sized to its contents; the scratch Ribs keep their
+  // capacity for the next device.
+  const bool announces = !state.device_changed.empty();
+  state.emitted.push_back({d.id, Rib(*complete), announces});
+  if (!announces) return;
+  state.union_scratch.clear();
+  std::set_union(state.round_changed.begin(), state.round_changed.end(),
+                 state.device_changed.begin(), state.device_changed.end(),
+                 std::back_inserter(state.union_scratch));
+  state.round_changed.swap(state.union_scratch);
 }
 
 void BgpSimulator::publish_metrics(int rounds, bool warm) {
@@ -810,6 +891,9 @@ void BgpSimulator::publish_metrics(int rounds, bool warm) {
   }
   routes_counter_->inc(routes);
   paths_gauge_->set(static_cast<double>(global_path_table().size()));
+  std::size_t scratch = 0;
+  for (const auto& worker : workers_) scratch += worker->bytes();
+  scratch_gauge_->set(static_cast<double>(scratch));
 }
 
 }  // namespace dcv::routing

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -116,7 +117,20 @@ class Rib {
   /// append order was not already canonical.
   void append(const net::Prefix& prefix, PathId path,
               std::span<const topo::DeviceId> hops, bool connected,
-              topo::DatacenterId origin_datacenter);
+              topo::DatacenterId origin_datacenter) {
+    RibEntry& entry = entries_.emplace_back();
+    entry.prefix = prefix;
+    entry.path = path;
+    entry.connected = connected;
+    entry.origin_datacenter = origin_datacenter;
+    entry.hop_count = static_cast<std::uint16_t>(hops.size());
+    if (hops.size() <= RibEntry::kInlineHops) {
+      std::copy(hops.begin(), hops.end(), entry.hop_words.begin());
+    } else {
+      entry.hop_words[0] = static_cast<std::uint32_t>(arena_.size());
+      arena_.insert(arena_.end(), hops.begin(), hops.end());
+    }
+  }
   /// Appends a copy of `entry` (owned by `source`), re-homing its hop list
   /// into this Rib's arena.
   void append_from(const Rib& source, const RibEntry& entry) {
@@ -226,14 +240,20 @@ struct BgpSimOptions {
 /// Unlike the retained ReferenceBgpSimulator (Jacobi full recompute with a
 /// whole-network copy per round), this engine is worklist-driven: a round
 /// reprocesses only the dirty frontier — devices with at least one neighbor
-/// whose RIB changed in the previous round — and double-buffers only those
-/// devices' results. Frontiers are processed in parallel; candidate
-/// collection borrows AS-path storage from the global PathTable (immutable,
-/// append-only) and per-worker memo tables turn repeat rewrites
-/// (private-ASN stripping, own-ASN prepends, connected originations) into
-/// one hash probe with no lock traffic, so the steady loop allocates
-/// nothing per announcement. ReferenceBgpSimulator equivalence is pinned by
-/// the differential test suite.
+/// whose announced routes changed in the previous round — and, after the
+/// seed round, only the prefixes whose announcements changed anywhere (a
+/// next-hop-only change moves no neighbor's selection). Selection is a
+/// k-way merge over the neighbors' already-sorted RIBs, one feed per
+/// neighbor in id order, so routes come out in prefix order with their
+/// next hops sorted: no candidate buffer, no sort. Frontiers are processed
+/// in parallel; each worker diffs its devices against their old RIBs and
+/// emits the complete new RIB of every changed device, so the serial
+/// commit only moves RIBs into place. Path views borrow the global
+/// PathTable's storage (immutable, append-only); a reselected route reuses
+/// its old path id when the path is unchanged, and small per-worker memos
+/// turn the remaining rewrites (connected originations, private-ASN
+/// stripping, repeated prepends) into a probe with no lock traffic.
+/// ReferenceBgpSimulator equivalence is pinned by the differential suite.
 class BgpSimulator {
  public:
   /// Runs propagation to a fixpoint over the topology's *current* link and
@@ -304,14 +324,13 @@ class BgpSimulator {
   /// returns rounds taken and marks changed devices' FIB caches dirty.
   int run_worklist(std::vector<topo::DeviceId> frontier);
   /// Recomputes a device's routes. In the seed round (`dirty == nullptr`)
-  /// the whole RIB is recomputed and `out` receives it in full; in later
-  /// rounds only the globally dirty prefixes (sorted) are recomputed —
-  /// selection is per-prefix independent, so entries for clean prefixes
-  /// cannot have changed — and `out` receives just those entries, which
-  /// the commit splices over the previous state. Returns true iff the
-  /// device's RIB changed (false leaves `out` untouched).
-  bool process_device(const topo::Device& device, WorkerState& state,
-                      Rib& out,
+  /// the whole RIB is recomputed; in later rounds only the globally dirty
+  /// prefixes (sorted) are — selection is per-prefix independent, so
+  /// entries for clean prefixes cannot have changed. If the RIB changed,
+  /// appends the complete new RIB to `state.emitted` and the prefixes whose
+  /// announcements changed to `state.round_changed`; otherwise touches
+  /// neither.
+  void process_device(const topo::Device& device, WorkerState& state,
                       const std::vector<net::Prefix>* dirty) const;
   void snapshot_state();
   /// Diffs current topology/fault state against the snapshot into a seed
@@ -335,18 +354,15 @@ class BgpSimulator {
   obs::Histogram* frontier_hist_ = nullptr;
   obs::Counter* routes_counter_ = nullptr;
   obs::Gauge* paths_gauge_ = nullptr;
+  obs::Gauge* scratch_gauge_ = nullptr;
   obs::Counter* fib_rebuilds_ = nullptr;
   obs::Counter* fib_hits_ = nullptr;
 
-  // Per-worker scratch (candidate buffers, rewrite memos); index 0 doubles
-  // as the inline/single-thread state. The pool is created lazily on the
-  // first frontier large enough to split.
+  // Per-worker scratch (feeds, selection and splice RIBs, rewrite memos);
+  // index 0 doubles as the inline/single-thread state. The pool is created
+  // lazily on the first frontier large enough to split.
   std::vector<std::unique_ptr<WorkerState>> workers_;
   std::unique_ptr<WorkerPool> pool_;
-
-  // Commit-side scratch Rib recycled across partial merges so steady-state
-  // commits stop allocating (single-threaded use only).
-  Rib merge_scratch_;
 
   // Snapshot of everything route-affecting, diffed by reconverge().
   std::vector<std::uint8_t> snap_link_usable_;

@@ -16,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include "dist/messages.hpp"
+#include "dist/worker.hpp"
 #include "obs/metrics_serde.hpp"
 #include "obs/span.hpp"
 #include "obs/span_serde.hpp"
 #include "obs/trace_merge.hpp"
 #include "rcdc/contract_gen.hpp"
+#include "rcdc/fib_source.hpp"
 #include "rcdc/resilient_fib_source.hpp"
+#include "rcdc/validator.hpp"
+#include "routing/bgp_sim.hpp"
 #include "topology/clos_builder.hpp"
 
 namespace dcv::dist {
@@ -109,6 +113,7 @@ class ScriptedWorker final : public Transport {
         EXPECT_TRUE(assign.has_value()) << id_ << ": malformed assign";
         if (!assign) return true;
         ++assignments_received_;
+        trace_contexts_.emplace_back(assign->cycle_id, assign->parent_span);
         switch (mode_) {
           case Mode::kObedient:
           case Mode::kClaimsReplay:
@@ -158,6 +163,11 @@ class ScriptedWorker final : public Transport {
   [[nodiscard]] bool shutdown_received() const { return shutdown_received_; }
   [[nodiscard]] int assignments_received() const {
     return assignments_received_;
+  }
+  /// (cycle_id, parent_span) of every assignment received, in order.
+  [[nodiscard]] const std::vector<std::pair<std::uint64_t, std::uint64_t>>&
+  trace_contexts() const {
+    return trace_contexts_;
   }
   /// Devices this worker verified (not replayed), over its lifetime.
   [[nodiscard]] std::size_t devices_verified() const {
@@ -209,6 +219,7 @@ class ScriptedWorker final : public Transport {
   bool welcomed_ = false;
   bool shutdown_received_ = false;
   int assignments_received_ = 0;
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> trace_contexts_;
   std::size_t devices_verified_ = 0;
   std::optional<AssignMsg> active_;
   std::chrono::steady_clock::time_point last_heartbeat_{};
@@ -806,6 +817,115 @@ TEST_F(CoordinatorTest, MergedTraceNestsWorkerSpansUnderAssignSpans) {
     }
   }
   EXPECT_EQ(shard_roots, assigns.size());
+}
+
+/// Drives a real WorkerSession without a coordinator: hands it a welcome,
+/// the queued assignments and a shutdown, and keeps what it sends back.
+class ReplayTransport final : public Transport {
+ public:
+  explicit ReplayTransport(const std::vector<AssignMsg>& assignments) {
+    inbox_.push_back(encode(WelcomeMsg{}));
+    for (const AssignMsg& assign : assignments) {
+      inbox_.push_back(encode(assign));
+    }
+    inbox_.push_back(encode_shutdown());
+  }
+
+  bool send(const Frame& frame) override {
+    if (frame.type == MsgType::kResult) {
+      const auto result = decode_result(frame.payload);
+      EXPECT_TRUE(result.has_value()) << "malformed result";
+      if (result) results.push_back(*result);
+    }
+    return true;
+  }
+
+  std::optional<Frame> poll() override {
+    if (inbox_.empty()) return std::nullopt;
+    Frame frame = std::move(inbox_.front());
+    inbox_.erase(inbox_.begin());
+    return frame;
+  }
+
+  bool closed() const override { return inbox_.empty(); }
+  std::string peer() const override { return "replay"; }
+
+  std::vector<ResultMsg> results;
+
+ private:
+  std::vector<Frame> inbox_;
+};
+
+// An untraced coordinator stamps no trace context on its assignments (as
+// messages.hpp documents), and a real worker answering such an assignment
+// ships no spans; a traced one still gets the worker's span tree, which
+// merges under the assign span (MergedTraceNestsWorkerSpansUnderAssignSpans
+// and the real-TCP ThreeWorkerCycleMergesOneCausalTimeline cover the merge).
+TEST_F(CoordinatorTest, UntracedCycleCarriesNoTraceContextOrSpans) {
+  {
+    Coordinator untraced(metadata_, config());
+    ScriptedWorker* worker =
+        add(untraced, "plain", ScriptedWorker::Mode::kObedient);
+    EXPECT_EQ(untraced.pump(1, 5s), 1u);
+    EXPECT_DOUBLE_EQ(untraced.run_cycle().coverage(), 1.0);
+    ASSERT_FALSE(worker->trace_contexts().empty());
+    for (const auto& [cycle_id, parent_span] : worker->trace_contexts()) {
+      EXPECT_EQ(cycle_id, 0u);
+      EXPECT_EQ(parent_span, 0u);
+    }
+  }
+  {
+    obs::TraceRing trace(1024);
+    CoordinatorConfig cfg = config();
+    cfg.trace = &trace;
+    Coordinator traced(metadata_, cfg);
+    ScriptedWorker* worker =
+        add(traced, "traced", ScriptedWorker::Mode::kObedient);
+    EXPECT_EQ(traced.pump(1, 5s), 1u);
+    EXPECT_DOUBLE_EQ(traced.run_cycle().coverage(), 1.0);
+    ASSERT_FALSE(worker->trace_contexts().empty());
+    for (const auto& [cycle_id, parent_span] : worker->trace_contexts()) {
+      EXPECT_NE(cycle_id, 0u);
+      EXPECT_NE(parent_span, 0u);
+    }
+  }
+
+  // The real worker, fed one untraced and one traced assignment of the
+  // same devices.
+  const routing::BgpSimulator simulator(topology_);
+  const rcdc::SimulatorFibSource fibs(simulator);
+  WorkerSession session(metadata_, fibs, rcdc::make_trie_verifier_factory());
+  AssignMsg untraced;
+  untraced.plan_epoch = metadata_.epoch();
+  for (topo::DeviceId d = 0; d < topology_.device_count(); ++d) {
+    untraced.devices.push_back({d, 0});
+  }
+  AssignMsg traced = untraced;
+  traced.shard_id = 1;
+  traced.cycle_id = 7;
+  traced.parent_span = 99;
+  ReplayTransport transport({untraced, traced});
+  EXPECT_EQ(session.run(transport), SessionEnd::kShutdown);
+  ASSERT_EQ(transport.results.size(), 2u);
+
+  const ResultMsg& plain = transport.results[0];
+  EXPECT_EQ(plain.devices_checked, topology_.device_count());
+  EXPECT_GT(plain.contracts_checked, 0u);
+  EXPECT_TRUE(plain.trace_blob.empty());
+
+  const ResultMsg& with_spans = transport.results[1];
+  EXPECT_EQ(with_spans.contracts_checked, plain.contracts_checked);
+  obs::DecodedTrace spans;
+  ASSERT_TRUE(obs::deserialize_trace(with_spans.trace_blob, spans));
+  std::size_t shard_roots = 0;
+  std::size_t fetches = 0;
+  for (const obs::TraceEvent& event : spans.events) {
+    EXPECT_EQ(event.cycle, 7u);
+    if (event.name == "shard") ++shard_roots;
+    if (event.name == "fetch") ++fetches;
+  }
+  EXPECT_EQ(shard_roots, 1u);
+  EXPECT_GT(fetches, 0u);
 }
 
 TEST_F(CoordinatorTest, DuplicateWorkerIdsStayDistinguishable) {

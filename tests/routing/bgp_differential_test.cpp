@@ -8,6 +8,7 @@
 // ThreadSanitizer in CI; keep its tests self-contained and thread-heavy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <thread>
 
@@ -125,6 +126,94 @@ TEST_P(BgpDifferential, WarmReconvergeMatchesColdReferenceUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, BgpDifferential,
                          testing::Values(1u, 4u));
+
+// The random fabrics above have 1-3 ToRs and leaves per cluster, so every
+// RIB is small and ECMP sets are narrow. This shape has 12 ToRs and 6
+// leaves per cluster and 2 prefixes per ToR (49 routes per RIB): every
+// leaf has 12 ToR feeds, every ToR 6-way ECMP, and a flipped ToR uplink
+// dirties only that ToR's prefixes — under an eighth of each neighbor RIB,
+// so reconvergence reaches them by binary-search skips, not a linear walk.
+class BgpWideFanIn : public testing::TestWithParam<unsigned> {};
+
+TEST_P(BgpWideFanIn, SingleLinkChurnMatchesColdReference) {
+  const unsigned threads = GetParam();
+  Topology topology = topo::build_clos(ClosParams{.clusters = 2,
+                                                  .tors_per_cluster = 12,
+                                                  .leaves_per_cluster = 6,
+                                                  .spines_per_plane = 2,
+                                                  .regional_spines = 2,
+                                                  .prefixes_per_tor = 2});
+  FaultInjector injector(topology, /*seed=*/0xFA41u + threads);
+  BgpSimulator sim(topology, &injector, nullptr,
+                   BgpSimOptions{.threads = threads,
+                                 .parallel_threshold = 8});
+  {
+    const ReferenceBgpSimulator cold_ref(topology, &injector);
+    ASSERT_EQ(sim.rounds(), cold_ref.rounds());
+    expect_equal(sim, cold_ref, topology, "cold");
+  }
+  const auto tors = topology.devices_with_role(DeviceRole::kTor);
+  const std::size_t leaves_seen = topology.neighbors_with_role(
+      tors.front(), DeviceRole::kLeaf).size();
+  ASSERT_EQ(leaves_seen, 6u);
+  EXPECT_EQ(sim.rib(tors.back()).size(), 2u * 2u * 12u + 1u);
+
+  std::mt19937_64 rng(0x51DEu + threads);
+  std::uniform_real_distribution<double> pick(0.0, 1.0);
+  for (int step = 0; step < 24; ++step) {
+    const double p = pick(rng);
+    if (p < 0.45) {
+      injector.random_link_failures(1);
+    } else if (p < 0.70) {
+      injector.random_bgp_shutdowns(1);
+    } else if (!injector.records().empty()) {
+      std::uniform_int_distribution<std::size_t> record_pick(
+          0, injector.records().size() - 1);
+      injector.repair(record_pick(rng));
+    }
+    sim.reconverge();
+    const ReferenceBgpSimulator ref(topology, &injector);
+    expect_equal(sim, ref, topology, "single-link churn");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, BgpWideFanIn, testing::Values(1u, 4u));
+
+// Two usable links between one ToR and one leaf are two sessions to the
+// same neighbor: the leaf must appear once in every next-hop set, before
+// and after one of the parallel links fails.
+TEST(BgpNextHops, ParallelLinksToOneNeighborYieldOneHop) {
+  Topology topology = topo::build_clos(ClosParams{.clusters = 2,
+                                                  .tors_per_cluster = 2,
+                                                  .leaves_per_cluster = 2,
+                                                  .spines_per_plane = 1,
+                                                  .regional_spines = 2});
+  const DeviceId tor = topology.devices_with_role(DeviceRole::kTor).front();
+  const DeviceId leaf = topology.neighbors_with_role(tor, DeviceRole::kLeaf)
+                            .front();
+  const topo::LinkId first = *topology.find_link(tor, leaf);
+  topology.add_link(tor, leaf);
+  FaultInjector injector(topology, /*seed=*/5);
+  BgpSimulator sim(topology, &injector);
+
+  const auto check = [&](const char* context) {
+    const ReferenceBgpSimulator ref(topology, &injector);
+    expect_equal(sim, ref, topology, context);
+    const Rib& rib = sim.rib(tor);
+    ASSERT_FALSE(rib.empty()) << context;
+    for (const RibEntry& entry : rib) {
+      if (entry.connected) continue;
+      const auto hops = rib.next_hops(entry);
+      EXPECT_EQ(std::count(hops.begin(), hops.end(), leaf), 1)
+          << context << ": " << entry.prefix;
+      EXPECT_TRUE(std::is_sorted(hops.begin(), hops.end())) << context;
+    }
+  };
+  check("both links up");
+  injector.link_down(first);
+  sim.reconverge();
+  check("one parallel link down");
+}
 
 TEST(BgpReconverge, NoChangeIsZeroRounds) {
   Topology topology = topo::build_clos(ClosParams{.clusters = 2,
@@ -254,6 +343,27 @@ TEST(FibCache, FetchesServeCachedTablesAcrossCycles) {
   EXPECT_EQ(sim.reconverge(), 0);  // no routing change
   for (DeviceId d = 0; d < n; ++d) (void)source.fetch(d);
   EXPECT_EQ(rebuilds.value(), after_fault + 1);
+}
+
+// What the simulator keeps between runs outside its route state is
+// reported, and route_state_bytes() still counts the RIBs alone.
+TEST(BgpMetrics, ScratchBytesGaugeIsSetAfterColdRun) {
+  Topology topology = topo::build_clos(ClosParams{.clusters = 2,
+                                                  .tors_per_cluster = 3,
+                                                  .leaves_per_cluster = 2,
+                                                  .spines_per_plane = 1,
+                                                  .regional_spines = 2});
+  obs::MetricsRegistry registry;
+  const BgpSimulator sim(topology, nullptr, &registry,
+                         BgpSimOptions{.threads = 2});
+  const double scratch =
+      registry.gauge("dcv_bgp_scratch_bytes", "").value();
+  EXPECT_GT(scratch, 0.0);
+  std::size_t ribs = topology.device_count() * sizeof(Rib);
+  for (const topo::Device& device : topology.devices()) {
+    ribs += sim.rib(device.id).memory_bytes();
+  }
+  EXPECT_EQ(sim.route_state_bytes(), ribs);
 }
 
 // ---------------------------------------------------------------------------
