@@ -14,13 +14,13 @@
 //     sleeping-puller fleet. Gate: >= 3x throughput.
 //
 //  2. Differential serving (the correctness gate). A fixed mix of change
-//     plans is answered (a) concurrently through the batching gate server
-//     and (b) one at a time by a fresh serialized gate; response bodies
+//     plans is answered (a) concurrently through the gate server and (b)
+//     one at a time by a fresh gate without a server; response bodies
 //     must be byte-identical. Gate: zero mismatches.
 //
 //  3. Open-loop Poisson storm. Mixed precheck/NSG traffic arrives with
 //     exponential inter-arrival times at a swept rate against the full
-//     GateService (warm session, batcher, engine pool); reports achieved
+//     GateService (warm session, engine pool); reports achieved
 //     throughput, latency percentiles, and 429 sheds. Informational.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -266,9 +266,7 @@ int main(int argc, char** argv) {
     }
     for (auto& client : clients) client.join();
   }
-  gate::GateConfig serial_config;
-  serial_config.batch_window = std::chrono::milliseconds(0);
-  gate::GateService reference(topology, serial_config);
+  gate::GateService reference(topology);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < plans.size(); ++i) {
     obs::HttpRequest request;
@@ -305,7 +303,8 @@ int main(int argc, char** argv) {
                     "lower");
     }
   }
-  std::printf("gate served %llu prechecks in %llu batches, %llu nsg checks\n",
+  std::printf("gate served %llu prechecks in %llu session calls, %llu nsg "
+              "checks\n",
               static_cast<unsigned long long>(service.prechecks_served()),
               static_cast<unsigned long long>(service.precheck_batches()),
               static_cast<unsigned long long>(service.nsg_checks_served()));

@@ -43,10 +43,9 @@ GateService::GateService(const topo::Topology& production, GateConfig config)
         {{"decision", "rejected"}});
     batches_counter_ = &config_.metrics->counter(
         "dcv_gate_precheck_batches_total",
-        "Emulator batches run by the precheck coalescer");
+        "Precheck session calls, one per request that reached the emulator");
     batch_size_hist_ = &config_.metrics->histogram(
-        "dcv_gate_precheck_batch_size",
-        "Changes coalesced per emulator batch");
+        "dcv_gate_precheck_batch_size", "Changes per precheck session call");
   }
 }
 
@@ -69,84 +68,24 @@ void GateService::attach(obs::HttpServer& server) {
   });
 }
 
-std::vector<rcdc::PrecheckResult> GateService::run_batched(
-    std::vector<rcdc::NetworkChange> changes) {
-  PendingBatch mine;
-  mine.changes = std::move(changes);
-
-  std::unique_lock lock(batch_mutex_);
-  waiting_.push_back(&mine);
-  while (!mine.done) {
-    if (runner_active_) {
-      // Someone else is driving the emulator; our batch slot waits its
-      // turn (or gets picked up by the current runner's next sweep).
-      batch_cv_.wait(lock);
-      continue;
-    }
-    // Become the runner. Hold the door open for the coalescing window so
-    // concurrent arrivals share this emulator pass.
-    runner_active_ = true;
-    if (config_.batch_window.count() > 0) {
-      std::size_t queued = 0;
-      for (const PendingBatch* pending : waiting_) {
-        queued += pending->changes.size();
-      }
-      if (queued < config_.max_batch) {
-        batch_cv_.wait_for(lock, config_.batch_window);
-      }
-    }
-
-    std::vector<PendingBatch*> batch;
-    std::vector<rcdc::NetworkChange> combined;
-    while (!waiting_.empty()) {
-      PendingBatch* pending = waiting_.front();
-      if (!batch.empty() &&
-          combined.size() + pending->changes.size() > config_.max_batch) {
-        break;  // rolls into the next batch
-      }
-      waiting_.pop_front();
-      for (rcdc::NetworkChange& change : pending->changes) {
-        combined.push_back(std::move(change));
-      }
-      batch.push_back(pending);
-    }
-
-    lock.unlock();
-    std::vector<rcdc::PrecheckResult> results;
-    std::string batch_error;
+std::vector<rcdc::PrecheckResult> GateService::run_session(
+    const std::vector<rcdc::NetworkChange>& changes) {
+  std::vector<rcdc::PrecheckResult> results;
+  {
+    const std::lock_guard lock(session_mutex_);
     try {
-      results = session_.check_batch(combined);
+      results = session_.check_batch(changes);
     } catch (const std::exception& exception) {
-      batch_error = exception.what();
-    }
-    lock.lock();
-
-    batches_run_.fetch_add(1, std::memory_order_relaxed);
-    if (batches_counter_ != nullptr) batches_counter_->inc();
-    if (batch_size_hist_ != nullptr) {
-      batch_size_hist_->observe(combined.size());
-    }
-    std::size_t cursor = 0;
-    for (PendingBatch* pending : batch) {
-      const std::size_t count = pending->changes.size();
-      if (batch_error.empty()) {
-        pending->results.assign(
-            std::make_move_iterator(results.begin() + cursor),
-            std::make_move_iterator(results.begin() + cursor + count));
-      } else {
-        for (std::size_t c = 0; c < count; ++c) {
-          rcdc::PrecheckResult failed;
-          failed.error = batch_error;
-          pending->results.push_back(std::move(failed));
-        }
+      results.assign(changes.size(), rcdc::PrecheckResult{});
+      for (rcdc::PrecheckResult& failed : results) {
+        failed.error = exception.what();
       }
-      cursor += count;
-      pending->done = true;
     }
-    runner_active_ = false;
-    batch_cv_.notify_all();
   }
-  return std::move(mine.results);
+  batches_run_.fetch_add(1, std::memory_order_relaxed);
+  if (batches_counter_ != nullptr) batches_counter_->inc();
+  if (batch_size_hist_ != nullptr) batch_size_hist_->observe(changes.size());
+  return results;
 }
 
 obs::HttpResponse GateService::handle_precheck(
@@ -168,8 +107,7 @@ obs::HttpResponse GateService::handle_precheck(
     return text_response(400, "plan contains no change\n");
   }
 
-  const std::vector<rcdc::PrecheckResult> results =
-      run_batched(std::move(changes));
+  const std::vector<rcdc::PrecheckResult> results = run_session(changes);
   prechecks_served_.fetch_add(results.size(), std::memory_order_relaxed);
 
   bool all_approved = true;
@@ -260,16 +198,24 @@ obs::HttpResponse GateService::handle_nsg_check(
 obs::HttpResponse GateService::handle_gatez(
     const obs::HttpRequest& /*request*/) const {
   std::ostringstream body;
-  body << "change gate:\n"
-       << "  base epoch            " << session_.base_epoch() << "\n"
-       << "  baseline violations   " << session_.baseline_violations() << "\n"
-       << "  prechecks served      "
-       << prechecks_served_.load(std::memory_order_relaxed) << "\n"
-       << "  emulator batches      "
-       << batches_run_.load(std::memory_order_relaxed) << "\n"
-       << "  devices revalidated   " << session_.devices_revalidated() << "\n"
-       << "  devices skipped       " << session_.devices_skipped() << "\n"
-       << "  nsg checks served     "
+  {
+    const std::lock_guard lock(session_mutex_);
+    body << "change gate:\n"
+         << "  base epoch            " << session_.base_epoch() << "\n"
+         << "  baseline violations   " << session_.baseline_violations()
+         << "\n"
+         << "  prechecks served      "
+         << prechecks_served_.load(std::memory_order_relaxed) << "\n"
+         << "  devices revalidated   " << session_.devices_revalidated()
+         << "\n"
+         << "  devices skipped       " << session_.devices_skipped() << "\n"
+         << "  devices restored      " << session_.devices_restored() << "\n"
+         << "  undo log bytes last   " << session_.last_checkpoint_bytes()
+         << "\n"
+         << "  undo log bytes max    " << session_.max_checkpoint_bytes()
+         << "\n";
+  }
+  body << "  nsg checks served     "
        << nsg_checks_served_.load(std::memory_order_relaxed) << "\n"
        << "  nsg engines           " << nsg_pool_.size() << " ("
        << nsg_pool_.available() << " free)\n";

@@ -1,10 +1,7 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -20,15 +17,8 @@
 namespace dcv::gate {
 
 struct GateConfig {
-  /// Validation threads per precheck batch; 0 = hardware-aware default.
+  /// Validation threads per precheck; 0 = hardware-aware default.
   unsigned precheck_threads = 0;
-  /// Coalescing window: a precheck arriving while no batch is running
-  /// waits this long for same-epoch companions before the emulator pass
-  /// starts. 0 disables coalescing (every request is its own batch).
-  std::chrono::milliseconds batch_window{2};
-  /// Changes per emulator batch; requests beyond the cap roll into the
-  /// next batch.
-  std::size_t max_batch = 16;
   /// FastEngines kept warm for concurrent POST /nsg-check traffic.
   std::size_t nsg_engines = 2;
   /// Per-endpoint request caps (change plans and NSG tables are far
@@ -47,27 +37,28 @@ struct GateConfig {
 ///   POST /precheck   body: a change plan (see rcdc/precheck_io.hpp).
 ///                    Each plan is parsed with parse-time name resolution
 ///                    (bad plans 400 without touching the emulator) and
-///                    checked by a persistent warm PrecheckSession.
-///                    Requests arriving within `batch_window` coalesce
-///                    into one emulator batch: K changes cost K+1 warm
-///                    reconvergences instead of K cold clones. 200 carries
-///                    the per-change verdicts; "decision: approved" on the
-///                    first line iff every change passed.
+///                    checked by a persistent warm PrecheckSession, one
+///                    request at a time: each change costs one warm
+///                    reconvergence plus a rollback that restores the
+///                    logged baseline. 200 carries the per-change
+///                    verdicts; "decision: approved" on the first line iff
+///                    every change passed.
 ///   POST /nsg-check  query: ?vnet=NAME&space=CIDR&db=0|1 (db default 1);
 ///                    body: the Figure 9 tabular NSG. Runs the SecGuru
 ///                    NsgGate (database-backup contracts) on a FastEngine
 ///                    leased from a fixed pool. 200 with
 ///                    "decision: accepted" or "decision: rejected" plus
 ///                    the failed contracts and witness packets.
-///   GET  /gatez      plain-text serving counters (batches, amortization,
-///                    divergence-proportionality evidence).
+///   GET  /gatez      plain-text serving counters (divergence
+///                    proportionality, undo-log bytes, devices restored).
 ///
 /// A session is bound to the production topology epoch it cloned; when the
 /// live epoch moves on, prechecks answer 409 until a fresh gate is built.
-/// Handlers are thread-safe: the precheck batcher serializes emulator
-/// access (callers block on their batch), NSG checks run concurrently up
-/// to the engine-pool size, and overload beyond the HTTP server's
-/// admission bounds is already 429'd before reaching the gate.
+/// Handlers are thread-safe: a mutex serializes emulator access (there is
+/// no coalescing — a batch would cost as much as its checks run one by
+/// one), NSG checks run concurrently up to the engine-pool size, and
+/// overload beyond the HTTP server's admission bounds is already 429'd
+/// before reaching the gate.
 class GateService {
  public:
   /// Builds the warm session (one cold converge + baseline validation) and
@@ -102,41 +93,32 @@ class GateService {
   [[nodiscard]] std::uint64_t prechecks_served() const {
     return prechecks_served_.load(std::memory_order_relaxed);
   }
+  /// Session calls made, one per precheck request that reached the
+  /// emulator.
   [[nodiscard]] std::uint64_t precheck_batches() const {
     return batches_run_.load(std::memory_order_relaxed);
+  }
+  /// Production epoch the session was built from (immutable, so no lock).
+  [[nodiscard]] std::uint64_t base_epoch() const {
+    return session_.base_epoch();
   }
   [[nodiscard]] std::uint64_t nsg_checks_served() const {
     return nsg_checks_served_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] const rcdc::PrecheckSession& session() const {
-    return session_;
-  }
 
  private:
-  /// One request's slot in the coalescing batcher.
-  struct PendingBatch {
-    std::vector<rcdc::NetworkChange> changes;
-    std::vector<rcdc::PrecheckResult> results;
-    bool done = false;
-  };
-
-  /// Runs `changes` through the batcher: coalesces with concurrent
-  /// arrivals, blocks until this request's results are ready.
-  std::vector<rcdc::PrecheckResult> run_batched(
-      std::vector<rcdc::NetworkChange> changes);
+  /// Runs `changes` through the session under the session mutex; a session
+  /// failure answers every change with its error.
+  std::vector<rcdc::PrecheckResult> run_session(
+      const std::vector<rcdc::NetworkChange>& changes);
 
   const topo::Topology* production_;
   GateConfig config_;
+  /// Guards session_ (checks and the counters /gatez reads).
+  mutable std::mutex session_mutex_;
   rcdc::PrecheckSession session_;
   secguru::FastEnginePool nsg_pool_;
   std::atomic<const obs::HttpServer*> server_{nullptr};
-
-  // Batcher state: requests queue under the mutex; one caller at a time
-  // holds the runner role and drives the (single-threaded) session.
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::deque<PendingBatch*> waiting_;
-  bool runner_active_ = false;
 
   std::atomic<std::uint64_t> prechecks_served_{0};
   std::atomic<std::uint64_t> batches_run_{0};

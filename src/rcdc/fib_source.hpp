@@ -152,6 +152,26 @@ class SimulatorFibSource final : public FibSource {
   const routing::BgpSimulator* simulator_;
 };
 
+/// FIBs programmed from the simulator's converged RIBs on every fetch,
+/// bypassing its materialized-FIB cache (same tables as
+/// SimulatorFibSource, FIB faults included). For readers that fetch each
+/// table once — a precheck verifies a trial state it is about to roll
+/// back, so caching its tables would only give rollback more to free.
+class ProgrammedFibSource final : public FibSource {
+ public:
+  explicit ProgrammedFibSource(const routing::BgpSimulator& simulator)
+      : simulator_(&simulator) {}
+
+  [[nodiscard]] routing::ForwardingTable fetch(
+      topo::DeviceId device) const override {
+    return routing::program_fib(simulator_->rib(device), simulator_->faults(),
+                                device);
+  }
+
+ private:
+  const routing::BgpSimulator* simulator_;
+};
+
 /// Decorator applying configured cluster-route aggregation (leaf-originated
 /// aggregates with discard routes; aggregates instead of specifics at the
 /// spine and regional layers) — the design §2.1 rejects, kept for the

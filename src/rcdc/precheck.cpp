@@ -1,6 +1,7 @@
 #include "rcdc/precheck.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <thread>
 #include <utility>
 
@@ -103,125 +104,101 @@ PrecheckSession::PrecheckSession(const topo::Topology& production,
       simulator_(emulated_),
       fibs_(simulator_),
       validator_(intent_, fibs_, make_trie_verifier_factory(), options_) {
-  // The one cold pass: converge (done by the simulator constructor),
-  // validate everything, and record the per-device baseline every later
-  // check diffs against.
-  ValidationSummary summary = validator_.run(threads_);
-  baseline_total_ = summary.violations.size();
-  baseline_by_device_.resize(base_.device_count());
-  for (Violation& violation : summary.violations) {
-    baseline_by_device_[violation.device].push_back(std::move(violation));
-  }
-  baseline_fp_.resize(base_.device_count());
-  for (std::size_t d = 0; d < base_.device_count(); ++d) {
-    baseline_fp_[d] = fingerprint(simulator_.fib(static_cast<topo::DeviceId>(d)));
+  // The one cold pass: converge (done by the simulator constructor), then
+  // validate every device against an empty cache, so every device misses
+  // and comes back with its fingerprint and verdict: the baseline.
+  std::vector<topo::DeviceId> devices(base_.device_count());
+  std::iota(devices.begin(), devices.end(), topo::DeviceId{0});
+  baseline_.adopt(base_epoch_, devices.size());
+  CachedValidation run = validator_.run(devices, threads_, baseline_);
+  baseline_total_ = run.summary.violations.size();
+  auto violation = run.summary.violations.begin();
+  for (const auto& [device, print] : run.missed) {
+    std::vector<Violation> own;
+    for (; violation != run.summary.violations.end() &&
+           violation->device == device;
+         ++violation) {
+      own.push_back(std::move(*violation));
+    }
+    baseline_.store(device, print, std::move(own));
   }
   (void)simulator_.take_changed_devices();  // the cold run marked everything
 }
 
 PrecheckResult PrecheckSession::check(const NetworkChange& change) {
-  return check_batch({NetworkChange{change.description, change.apply}})
-      .front();
-}
-
-PrecheckResult PrecheckSession::evaluate(
-    const std::string& description, std::vector<topo::DeviceId>& divergent) {
-  PrecheckResult result;
-  result.description = description;
-  result.baseline_violations = baseline_total_;
-
-  // Candidate set: devices already divergent before this step plus devices
-  // the reconvergence just touched. Everything else is fingerprint-equal
-  // to the baseline by induction and need not be re-examined.
-  std::vector<topo::DeviceId> candidates = simulator_.take_changed_devices();
-  candidates.insert(candidates.end(), divergent.begin(), divergent.end());
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-
-  divergent.clear();
-  for (const topo::DeviceId device : candidates) {
-    if (fingerprint(simulator_.fib(device)) != baseline_fp_[device]) {
-      divergent.push_back(device);
-    }
-  }
-  devices_revalidated_ += divergent.size();
-  devices_skipped_ += baseline_fp_.size() - divergent.size();
   ++checks_run_;
-
-  if (divergent.empty()) {
-    result.post_change_violations = baseline_total_;
-    result.approved = true;
+  PrecheckResult result;
+  result.description = change.description;
+  result.baseline_violations = baseline_total_;
+  result.post_change_violations = baseline_total_;
+  try {
+    change.apply(emulated_);
+    if (emulated_.device_count() != base_.device_count() ||
+        emulated_.link_count() != base_.link_count()) {
+      // Fabric-shape changes invalidate the per-device baseline; they
+      // belong in the cold PrecheckPipeline, not the warm session.
+      result.error = "shape-changing change not supported by the warm session";
+    }
+  } catch (const std::exception& exception) {
+    result.error = exception.what();
+  }
+  if (!result.error.empty()) {
+    emulated_ = base_;  // drop any partial mutation; never reconverged
+    devices_skipped_ += base_.device_count();
     return result;
   }
 
-  ValidationSummary summary = validator_.run(divergent, threads_);
-  std::size_t baseline_on_divergent = 0;
-  for (const topo::DeviceId device : divergent) {
-    baseline_on_divergent += baseline_by_device_[device].size();
+  simulator_.checkpoint();
+  try {
+    simulator_.reconverge();
+    evaluate(result);
+  } catch (...) {
+    roll_back();
+    throw;
+  }
+  roll_back();
+  return result;
+}
+
+void PrecheckSession::evaluate(PrecheckResult& result) {
+  // Only devices reconvergence changed can differ from the baseline; the
+  // verdict-cache run fingerprints them on the validator's threads and
+  // revalidates those whose table differs.
+  const std::vector<topo::DeviceId> changed =
+      simulator_.take_changed_devices();
+  CachedValidation run = validator_.run(changed, threads_, baseline_);
+  devices_revalidated_ += run.missed.size();
+  devices_skipped_ += base_.device_count() - run.missed.size();
+
+  std::size_t baseline_on_missed = 0;
+  for (const auto& entry : run.missed) {
+    baseline_on_missed += baseline_.replay(entry.first, false).violations.size();
   }
   result.post_change_violations =
-      baseline_total_ - baseline_on_divergent + summary.violations.size();
-  for (Violation& violation : summary.violations) {
-    const auto& base = baseline_by_device_[violation.device];
+      baseline_total_ - baseline_on_missed + run.summary.violations.size();
+  for (Violation& violation : run.summary.violations) {
+    const std::span<const Violation> base =
+        baseline_.replay(violation.device, false).violations;
     if (std::find(base.begin(), base.end(), violation) == base.end()) {
       result.introduced.push_back(std::move(violation));
     }
   }
   result.approved = result.introduced.empty();
-  return result;
+}
+
+void PrecheckSession::roll_back() {
+  last_checkpoint_bytes_ = simulator_.checkpoint_bytes();
+  max_checkpoint_bytes_ = std::max(max_checkpoint_bytes_, last_checkpoint_bytes_);
+  emulated_ = base_;
+  simulator_.rollback();
+  devices_restored_ += simulator_.take_changed_devices().size();
 }
 
 std::vector<PrecheckResult> PrecheckSession::check_batch(
     const std::vector<NetworkChange>& changes) {
   std::vector<PrecheckResult> results;
   results.reserve(changes.size());
-  if (changes.empty()) return results;
-
-  // Devices whose FIB currently differs from the baseline fixpoint
-  // (relative to the state the simulator is converged on). Starts empty:
-  // the session is always at the baseline between batches.
-  std::vector<topo::DeviceId> divergent;
-
-  for (std::size_t i = 0; i < changes.size(); ++i) {
-    // Revert the previous change and apply this one as ONE topology delta,
-    // then warm-reconverge once — the batch amortization (K+1 instead of
-    // 2K reconvergences for K changes).
-    if (i > 0) emulated_ = base_;
-    std::string error;
-    try {
-      changes[i].apply(emulated_);
-    } catch (const std::exception& exception) {
-      error = exception.what();
-      emulated_ = base_;  // drop any partial mutation
-    }
-    if (error.empty() && (emulated_.device_count() != base_.device_count() ||
-                          emulated_.link_count() != base_.link_count())) {
-      // Fabric-shape changes invalidate the per-device baseline mapping;
-      // they belong in the cold PrecheckPipeline, not the warm session.
-      error = "shape-changing change not supported by the warm session";
-      emulated_ = base_;
-    }
-    simulator_.reconverge();
-
-    if (!error.empty()) {
-      // The emulated network is back at (a state fingerprint-equal to) the
-      // baseline; refresh the divergence bookkeeping and report the error.
-      PrecheckResult failed = evaluate(changes[i].description, divergent);
-      failed.error = std::move(error);
-      failed.approved = false;
-      results.push_back(std::move(failed));
-      continue;
-    }
-    results.push_back(evaluate(changes[i].description, divergent));
-  }
-
-  // Roll back the last change so the session is at the baseline again.
-  emulated_ = base_;
-  simulator_.reconverge();
-  std::vector<topo::DeviceId> candidates = simulator_.take_changed_devices();
-  candidates.insert(candidates.end(), divergent.begin(), divergent.end());
-  (void)candidates;  // all fingerprint-equal again; nothing to retain
+  for (const NetworkChange& change : changes) results.push_back(check(change));
   return results;
 }
 

@@ -9,6 +9,7 @@
 #include "rcdc/contract.hpp"
 #include "rcdc/fib_source.hpp"
 #include "rcdc/validator.hpp"
+#include "rcdc/verdict_cache.hpp"
 #include "routing/bgp_sim.hpp"
 #include "topology/metadata.hpp"
 #include "topology/topology.hpp"
@@ -92,22 +93,24 @@ class PrecheckPipeline {
 /// emulator instead of a clone-and-cold-converge per request.
 ///
 /// Construction pays the full cost once — clone the production topology,
-/// cold-converge the simulator, validate the baseline, fingerprint every
-/// device's FIB. Each check() then applies the change, *warm*-reconverges
-/// (worklist seeded from exactly the touched devices), and revalidates only
-/// the devices whose FIB fingerprint diverged from the baseline — the
-/// serving analogue of keeping per-request work proportional to the
-/// change, not the fabric. The emulated clone is rolled back after every
-/// check, so checks are independent (no rollout semantics).
+/// cold-converge the simulator, validate every device and record its
+/// verdict and FIB fingerprint in a VerdictCache (fingerprinted on the
+/// validator's threads). Each check() then applies the change to the
+/// emulated clone, opens a simulator checkpoint, *warm*-reconverges
+/// (worklist seeded from exactly the touched devices), and hands the
+/// devices reconvergence changed to a verdict-cache validation run: a
+/// device whose new table fingerprints like its baseline keeps its
+/// baseline verdict, the rest are revalidated. Finally the clone is
+/// restored and the checkpoint rolled back, which moves the logged
+/// baseline RIBs back instead of reconverging a second time. Per-check
+/// work is therefore proportional to the change, not the fabric, and every
+/// check starts from the same baseline (no rollout semantics).
 ///
-/// check_batch() amortizes further: checking K coalesced changes costs K+1
-/// reconvergences (apply, K-1 composite revert+apply steps, final revert)
-/// instead of 2K, because reverting change i and applying change i+1 is a
-/// single warm delta. Results are per-change and identical to K
-/// independent check() calls.
+/// Changes that throw or that change the fabric's shape are answered with
+/// an error and never reach the emulator.
 ///
 /// Not thread-safe: one session serves one gate thread (or is externally
-/// serialized — the change-gate batcher does exactly that).
+/// serialized — the change gate holds a mutex around it).
 class PrecheckSession {
  public:
   explicit PrecheckSession(const topo::Topology& production,
@@ -118,6 +121,7 @@ class PrecheckSession {
   PrecheckSession& operator=(const PrecheckSession&) = delete;
 
   [[nodiscard]] PrecheckResult check(const NetworkChange& change);
+  /// Independent checks, one per change, in order.
   [[nodiscard]] std::vector<PrecheckResult> check_batch(
       const std::vector<NetworkChange>& changes);
 
@@ -137,32 +141,50 @@ class PrecheckSession {
   [[nodiscard]] std::uint64_t devices_skipped() const {
     return devices_skipped_;
   }
+  /// Devices whose baseline state rollback restored, summed over checks.
+  [[nodiscard]] std::uint64_t devices_restored() const {
+    return devices_restored_;
+  }
+  /// Undo-log bytes (BgpSimulator::checkpoint_bytes) held just before the
+  /// latest rollback, and the largest such value over all checks.
+  [[nodiscard]] std::size_t last_checkpoint_bytes() const {
+    return last_checkpoint_bytes_;
+  }
+  [[nodiscard]] std::size_t max_checkpoint_bytes() const {
+    return max_checkpoint_bytes_;
+  }
+  /// The emulator, at the baseline between checks.
+  [[nodiscard]] const routing::BgpSimulator& simulator() const {
+    return simulator_;
+  }
 
  private:
-  /// Re-derives the divergence set after a reconvergence and validates it.
-  /// `divergent` carries the device set differing from baseline before the
-  /// step and is updated in place.
-  PrecheckResult evaluate(const std::string& description,
-                          std::vector<topo::DeviceId>& divergent);
+  /// Validates the devices the trial reconvergence changed into `result`.
+  void evaluate(PrecheckResult& result);
+  /// Restores the clone and rolls the simulator back to the baseline.
+  void roll_back();
 
   ContractGenOptions options_;
   unsigned threads_;
   std::uint64_t base_epoch_ = 0;
 
-  topo::Topology base_;      // pristine clone, rollback source
-  topo::Topology emulated_;  // live working copy under the simulator
+  topo::Topology base_;      // pristine clone, restore source
+  topo::Topology emulated_;  // working copy under the simulator
   topo::MetadataService intent_;
   routing::BgpSimulator simulator_;
-  SimulatorFibSource fibs_;
+  ProgrammedFibSource fibs_;
   DatacenterValidator validator_;
 
   std::size_t baseline_total_ = 0;
-  std::vector<std::uint64_t> baseline_fp_;  // per-device FIB fingerprints
-  std::vector<std::vector<Violation>> baseline_by_device_;
+  /// Baseline verdict and FIB fingerprint of every device.
+  VerdictCache baseline_;
 
   std::uint64_t checks_run_ = 0;
   std::uint64_t devices_revalidated_ = 0;
   std::uint64_t devices_skipped_ = 0;
+  std::uint64_t devices_restored_ = 0;
+  std::size_t last_checkpoint_bytes_ = 0;
+  std::size_t max_checkpoint_bytes_ = 0;
 };
 
 }  // namespace dcv::rcdc

@@ -112,6 +112,21 @@ ValidationSummary DatacenterValidator::run(unsigned threads) const {
 
 ValidationSummary DatacenterValidator::run(
     std::span<const topo::DeviceId> devices, unsigned threads) const {
+  return run_devices(devices, threads, nullptr, nullptr);
+}
+
+CachedValidation DatacenterValidator::run(
+    std::span<const topo::DeviceId> devices, unsigned threads,
+    const VerdictCache& cache) const {
+  CachedValidation result;
+  result.summary = run_devices(devices, threads, &cache, &result.missed);
+  return result;
+}
+
+ValidationSummary DatacenterValidator::run_devices(
+    std::span<const topo::DeviceId> devices, unsigned threads,
+    const VerdictCache* cache,
+    std::vector<std::pair<topo::DeviceId, std::uint64_t>>* missed) const {
   const auto start = std::chrono::steady_clock::now();
   // Clamp the pool to the work available: spawning more workers than
   // devices just burns thread startup for threads that immediately find the
@@ -133,6 +148,7 @@ ValidationSummary DatacenterValidator::run(
     std::size_t breaker_opens = 0;
     std::size_t violations_degraded = 0;
     std::vector<Violation> violations;
+    std::vector<std::pair<topo::DeviceId, std::uint64_t>> missed;
   };
   std::vector<WorkerResult> results(threads);
   std::atomic<std::size_t> next_index{0};
@@ -149,7 +165,7 @@ ValidationSummary DatacenterValidator::run(
       if (i >= devices.size()) break;
       const topo::DeviceId device = devices[i];
       const std::span<const Contract> contracts = plan->contracts_for(device);
-      if (contracts.empty()) continue;
+      if (contracts.empty() && cache == nullptr) continue;
       obs::ScopedTimer fetch_timer(fetch_latency_ns_);
       FetchOutcome outcome = fibs_->try_fetch(device);
       fetch_timer.stop();
@@ -173,6 +189,13 @@ ValidationSummary DatacenterValidator::run(
         if (devices_stale_ != nullptr) devices_stale_->inc();
       } else if (devices_fresh_ != nullptr) {
         devices_fresh_->inc();
+      }
+      if (cache != nullptr) {
+        const std::uint64_t print =
+            outcome.degraded() ? 0 : fingerprint(*outcome.table);
+        if (cache->hit(device, print)) continue;  // the cached verdict holds
+        result.missed.emplace_back(device, print);
+        if (contracts.empty()) continue;
       }
       obs::ScopedTimer validate_timer(validate_latency_ns_);
       auto violations = verifier->check(*outcome.table, contracts, device);
@@ -211,7 +234,11 @@ ValidationSummary DatacenterValidator::run(
         summary.violations.end(),
         std::make_move_iterator(result.violations.begin()),
         std::make_move_iterator(result.violations.end()));
+    if (missed != nullptr) {
+      missed->insert(missed->end(), result.missed.begin(), result.missed.end());
+    }
   }
+  if (missed != nullptr) std::sort(missed->begin(), missed->end());
   std::sort(summary.violations.begin(), summary.violations.end(),
             [](const Violation& a, const Violation& b) {
               if (a.device != b.device) return a.device < b.device;

@@ -5,11 +5,13 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "rcdc/contract_gen.hpp"
 #include "rcdc/fib_source.hpp"
+#include "rcdc/verdict_cache.hpp"
 #include "rcdc/verifier.hpp"
 #include "topology/metadata.hpp"
 
@@ -48,6 +50,16 @@ struct ValidationSummary {
   }
 };
 
+/// Result of a verdict-cache run (DatacenterValidator::run with a cache).
+struct CachedValidation {
+  /// Counts and violations of the devices that missed the cache only.
+  ValidationSummary summary;
+  /// Devices whose table missed the cache, in id order, each with the
+  /// fingerprint of the table it was verified on (0 for a degraded table,
+  /// which never hits).
+  std::vector<std::pair<topo::DeviceId, std::uint64_t>> missed;
+};
+
 /// Validates every device of a datacenter against its generated contracts.
 ///
 /// This is the embodiment of the paper's local-validation claim: each
@@ -77,7 +89,23 @@ class DatacenterValidator {
   [[nodiscard]] ValidationSummary run(std::span<const topo::DeviceId> devices,
                                       unsigned threads) const;
 
+  /// Verdict-cache run over `devices`: each worker fingerprints the table
+  /// it fetched, and a device whose fingerprint hits `cache` is not
+  /// verified — its cached verdict holds. Only the devices that missed are
+  /// verified and reported. Devices without contracts are fetched and
+  /// fingerprinted too, so `missed` names every device whose table differs
+  /// from its cached one.
+  [[nodiscard]] CachedValidation run(std::span<const topo::DeviceId> devices,
+                                     unsigned threads,
+                                     const VerdictCache& cache) const;
+
  private:
+  /// Both run() forms; `cache` and `missed` are null for a plain run.
+  ValidationSummary run_devices(
+      std::span<const topo::DeviceId> devices, unsigned threads,
+      const VerdictCache* cache,
+      std::vector<std::pair<topo::DeviceId, std::uint64_t>>* missed) const;
+
   const topo::MetadataService* metadata_;
   const FibSource* fibs_;
   VerifierFactory verifier_factory_;

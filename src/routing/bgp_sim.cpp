@@ -270,8 +270,6 @@ BgpSimulator::BgpSimulator(const topo::Topology& topology,
         "dcv_bgp_fib_cache_hits_total",
         "fib() fetches served from the materialized-table cache");
   }
-  ribs_.resize(topology.device_count());
-  fib_cache_.resize(topology.device_count());
   cold_run();
 }
 
@@ -303,10 +301,27 @@ std::size_t BgpSimulator::route_state_bytes() const {
 }
 
 void BgpSimulator::invalidate_fib(topo::DeviceId device) {
+  std::unique_ptr<ForwardingTable> old;
   {
     const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
-    fib_cache_[device].reset();
+    old = std::move(fib_cache_[device]);
   }
+  if (logging() && (undo_.logged[device] & UndoLog::kFibLogged) == 0) {
+    undo_.logged[device] |= UndoLog::kFibLogged;
+    undo_.fibs.emplace_back(device, std::move(old));
+  }
+  mark_changed(device);
+}
+
+void BgpSimulator::replace_rib(topo::DeviceId device, Rib rib) {
+  if (logging() && (undo_.logged[device] & UndoLog::kRibLogged) == 0) {
+    undo_.logged[device] |= UndoLog::kRibLogged;
+    undo_.ribs.emplace_back(device, std::move(ribs_[device]));
+  }
+  ribs_[device] = std::move(rib);
+}
+
+void BgpSimulator::mark_changed(topo::DeviceId device) {
   if (changed_mark_.size() < topology_->device_count()) {
     changed_mark_.resize(topology_->device_count(), 0);
   }
@@ -314,6 +329,59 @@ void BgpSimulator::invalidate_fib(topo::DeviceId device) {
     changed_mark_[device] = 1;
     changed_list_.push_back(device);
   }
+}
+
+void BgpSimulator::checkpoint() {
+  if (undo_.open) throw InvalidArgument("a checkpoint is already open");
+  undo_.open = true;
+  undo_.cold = false;
+  undo_.logged.resize(ribs_.size(), 0);
+}
+
+void BgpSimulator::rollback() {
+  if (!undo_.open) throw InvalidArgument("no checkpoint is open");
+  undo_.open = false;
+  if (undo_.cold) {
+    undo_.cold = false;
+    // The cold run marks every device; pending marks may name trial ids.
+    (void)take_changed_devices();
+    cold_run();
+    return;
+  }
+  for (auto& [device, rib] : undo_.ribs) {
+    ribs_[device] = std::move(rib);
+    mark_changed(device);
+  }
+  for (auto& [device, table] : undo_.fibs) {
+    {
+      const std::lock_guard lock(fib_locks_[device % fib_locks_.size()]);
+      fib_cache_[device].swap(table);
+    }
+    mark_changed(device);
+  }
+  clear_undo_log();  // frees the trial RIBs and FIBs swapped into the log
+  snapshot_state();
+}
+
+void BgpSimulator::clear_undo_log() {
+  for (const auto& entry : undo_.ribs) undo_.logged[entry.first] = 0;
+  for (const auto& entry : undo_.fibs) undo_.logged[entry.first] = 0;
+  undo_.ribs.clear();
+  undo_.fibs.clear();
+}
+
+std::size_t BgpSimulator::checkpoint_bytes() const {
+  if (!undo_.open) return 0;
+  std::size_t total =
+      undo_.ribs.size() * sizeof(decltype(undo_.ribs)::value_type) +
+      undo_.fibs.size() * sizeof(decltype(undo_.fibs)::value_type);
+  for (const auto& entry : undo_.ribs) total += entry.second.memory_bytes();
+  for (const auto& entry : undo_.fibs) {
+    if (entry.second != nullptr) {
+      total += sizeof(ForwardingTable) + entry.second->memory_bytes();
+    }
+  }
+  return total;
 }
 
 std::vector<topo::DeviceId> BgpSimulator::take_changed_devices() {
@@ -418,6 +486,9 @@ bool BgpSimulator::diff_state(std::vector<topo::DeviceId>& seeds) {
 
 void BgpSimulator::cold_run() {
   const auto& devices = topology_->devices();
+  ribs_.assign(devices.size(), Rib{});
+  fib_cache_.clear();
+  fib_cache_.resize(devices.size());
   // Seed locally originated routes so the first round already propagates
   // them: ToRs originate their hosted VLAN prefixes, regional spines the
   // default route (§2.1).
@@ -448,9 +519,12 @@ void BgpSimulator::cold_run() {
 int BgpSimulator::reconverge() {
   std::vector<DeviceId> seeds;
   if (!diff_state(seeds)) {
-    ribs_.assign(topology_->device_count(), Rib{});
-    fib_cache_.clear();
-    fib_cache_.resize(topology_->device_count());
+    if (undo_.open) {
+      // The logged state is indexed by the old device ids; rollback() will
+      // rerun cold on the restored topology instead.
+      clear_undo_log();
+      undo_.cold = true;
+    }
     cold_run();
     return rounds_;
   }
@@ -512,7 +586,7 @@ int BgpSimulator::run_worklist(std::vector<topo::DeviceId> frontier) {
     for (const auto& worker : workers_) {
       for (WorkerState::Emitted& emitted : worker->emitted) {
         const DeviceId d = emitted.device;
-        ribs_[d] = std::move(emitted.rib);
+        replace_rib(d, std::move(emitted.rib));
         invalidate_fib(d);
         for (const topo::LinkId lid : topology_->links_of(d)) {
           const topo::Link& link = topology_->link(lid);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -290,17 +291,45 @@ class BgpSimulator {
   /// concurrently.
   [[nodiscard]] const ForwardingTable& fib(topo::DeviceId device) const;
 
+  /// The fault injector whose device-level faults fib() applies (may be
+  /// null).
+  [[nodiscard]] const topo::FaultInjector* faults() const { return faults_; }
+
   /// Number of synchronous rounds of the most recent convergence (the
   /// initial cold run, or the latest reconverge()).
   [[nodiscard]] int rounds() const { return rounds_; }
 
   /// Drains the set of devices whose RIB or FIB-programming state changed
   /// since the previous take_changed_devices() call (construction counts
-  /// every device). The warm-precheck session uses this to bound
-  /// revalidation to the devices a change could have touched. Sorted,
-  /// deduplicated. Call only from the mutating thread (same contract as
-  /// reconverge()).
+  /// every device, rollback() the devices it restored). The warm-precheck
+  /// session uses this to bound revalidation to the devices a change could
+  /// have touched. Sorted, deduplicated. Call only from the mutating thread
+  /// (same contract as reconverge()).
   [[nodiscard]] std::vector<topo::DeviceId> take_changed_devices();
+
+  /// Opens an undo log over the converged state, so that a trial change can
+  /// be converged and then undone without a second reconvergence. While the
+  /// checkpoint is open, every device's RIB and cached FIB are moved into
+  /// the log the first time a reconverge() replaces or invalidates them,
+  /// instead of being freed. Throws InvalidArgument if one is already open.
+  void checkpoint();
+
+  /// Closes the open checkpoint and returns the simulator to the state it
+  /// was converged on when checkpoint() was called. Precondition: the
+  /// caller has already restored the topology (and fault state) to what it
+  /// was at checkpoint(). Moves each logged RIB and FIB back — O(changed
+  /// devices) moves, no reconvergence — re-snapshots the diff state from
+  /// the restored topology, and reports the restored devices through
+  /// take_changed_devices(). If a shape change inside the checkpoint forced
+  /// the cold fallback, the log no longer lines up with the device ids and
+  /// rollback reruns the cold convergence instead. Throws InvalidArgument
+  /// when no checkpoint is open. Same threading contract as reconverge();
+  /// fib() may be read concurrently again once it returns.
+  void rollback();
+
+  /// RIB and FIB bytes held by the open checkpoint's undo log (0 when none
+  /// is open): what one trial change costs on top of the converged state.
+  [[nodiscard]] std::size_t checkpoint_bytes() const;
 
   /// Resident bytes of the converged route state: every device's Rib
   /// storage plus this simulator's bookkeeping vectors (FIB caches and
@@ -319,6 +348,7 @@ class BgpSimulator {
   struct WorkerState;
   struct WorkerPool;
 
+  /// Drops all route and FIB state and converges from scratch.
   void cold_run();
   /// Runs the worklist to a fixpoint from the given seed frontier;
   /// returns rounds taken and marks changed devices' FIB caches dirty.
@@ -338,7 +368,16 @@ class BgpSimulator {
   /// needed). Devices whose FIB-only fault state flipped get their cached
   /// table invalidated here.
   bool diff_state(std::vector<topo::DeviceId>& seeds);
+  /// Drops the device's cached FIB (into the undo log when a checkpoint is
+  /// logging) and marks it changed.
   void invalidate_fib(topo::DeviceId device);
+  /// Installs a device's new RIB, moving the old one into the undo log when
+  /// a checkpoint is logging.
+  void replace_rib(topo::DeviceId device, Rib rib);
+  void mark_changed(topo::DeviceId device);
+  /// Frees the undo log's contents and clears its per-device marks.
+  void clear_undo_log();
+  [[nodiscard]] bool logging() const { return undo_.open && !undo_.cold; }
   void publish_metrics(int rounds, bool warm);
 
   const topo::Topology* topology_;
@@ -380,6 +419,24 @@ class BgpSimulator {
   // (mark vector dedups; touched only on the mutating thread).
   std::vector<std::uint8_t> changed_mark_;
   std::vector<topo::DeviceId> changed_list_;
+
+  // Undo log of the open checkpoint (see checkpoint()); touched only on the
+  // mutating thread.
+  struct UndoLog {
+    static constexpr std::uint8_t kRibLogged = 1;
+    static constexpr std::uint8_t kFibLogged = 2;
+    bool open = false;
+    /// A shape change inside the checkpoint forced a cold run; rollback()
+    /// reruns cold instead of restoring.
+    bool cold = false;
+    /// Per device: which of its pre-checkpoint RIB / FIB slot is logged.
+    std::vector<std::uint8_t> logged;
+    std::vector<std::pair<topo::DeviceId, Rib>> ribs;
+    /// Pre-checkpoint FIB cache slots; null when none was materialized.
+    std::vector<std::pair<topo::DeviceId, std::unique_ptr<ForwardingTable>>>
+        fibs;
+  };
+  UndoLog undo_;
 };
 
 }  // namespace dcv::routing

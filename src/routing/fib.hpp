@@ -61,6 +61,16 @@ class ForwardingTable {
   [[nodiscard]] std::size_t size() const { return rules_.size(); }
   [[nodiscard]] bool empty() const { return rules_.empty(); }
 
+  /// Resident bytes of the table's storage: rule records plus each rule's
+  /// next-hop vector (capacities, not sizes).
+  [[nodiscard]] std::size_t memory_bytes() const {
+    std::size_t total = rules_.capacity() * sizeof(Rule);
+    for (const Rule& rule : rules_) {
+      total += rule.next_hops.capacity() * sizeof(topo::DeviceId);
+    }
+    return total;
+  }
+
   friend bool operator==(const ForwardingTable&,
                          const ForwardingTable&) = default;
 

@@ -52,21 +52,7 @@ PathId PathTable::intern(std::span<const topo::Asn> path) {
   return record_index * kStripes + stripe_id + 1;
 }
 
-std::span<const topo::Asn> PathTable::view(PathId id) const {
-  if (id == kEmptyPathId) return {};
-  const std::uint32_t v = id - 1;
-  const std::uint32_t stripe_id = v % kStripes;
-  const std::uint32_t record_index = v / kStripes;
-  const Stripe& stripe = stripes_[stripe_id];
-  if (record_index >= stripe.count.load(std::memory_order_acquire)) {
-    throw InvalidArgument("unknown PathId");
-  }
-  const Record* records =
-      stripe.blocks[record_index >> kBlockBits].load(
-          std::memory_order_acquire);
-  const Record& record = records[record_index & (kBlockSize - 1)];
-  return {record.data, record.length};
-}
+void PathTable::throw_unknown_id() { throw InvalidArgument("unknown PathId"); }
 
 std::size_t PathTable::size() const {
   std::size_t total = 0;

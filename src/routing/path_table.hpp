@@ -49,8 +49,23 @@ class PathTable {
   [[nodiscard]] PathId intern(std::span<const topo::Asn> path);
 
   /// The stored contents of a path. Lock-free; the returned span is valid
-  /// for the table's lifetime. kEmptyPathId yields an empty span.
-  [[nodiscard]] std::span<const topo::Asn> view(PathId id) const;
+  /// for the table's lifetime. kEmptyPathId yields an empty span; an id
+  /// this table never issued throws InvalidArgument. Inline: route
+  /// selection resolves a path per announcement it considers.
+  [[nodiscard]] std::span<const topo::Asn> view(PathId id) const {
+    if (id == kEmptyPathId) return {};
+    const std::uint32_t v = id - 1;
+    const Stripe& stripe = stripes_[v % kStripes];
+    const std::uint32_t record_index = v / kStripes;
+    if (record_index >= stripe.count.load(std::memory_order_acquire)) {
+      throw_unknown_id();
+    }
+    const Record* records =
+        stripe.blocks[record_index >> kBlockBits].load(
+            std::memory_order_acquire);
+    const Record& record = records[record_index & (kBlockSize - 1)];
+    return {record.data, record.length};
+  }
 
   /// Number of distinct non-empty paths interned so far (approximate under
   /// concurrent interning).
@@ -75,6 +90,9 @@ class PathTable {
     const topo::Asn* data = nullptr;
     std::uint32_t length = 0;
   };
+
+  /// Out of line so the inline view() stays a few loads.
+  [[noreturn]] static void throw_unknown_id();
 
   struct SpanHash {
     using is_transparent = void;

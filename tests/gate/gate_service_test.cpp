@@ -1,5 +1,5 @@
 // Change-gate service: precheck and NSG-check verdicts over the HTTP
-// handler surface, request coalescing into shared emulator batches, the
+// handler surface, concurrent prechecks serialized on one session, the
 // stale-epoch guard, and the differential guarantee that concurrent
 // serving returns byte-identical answers to serialized evaluation.
 #include "gate/gate_service.hpp"
@@ -11,11 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "rcdc/precheck.hpp"
+#include "rcdc/precheck_io.hpp"
 #include "topology/clos_builder.hpp"
 
 namespace dcv::gate {
@@ -40,17 +42,11 @@ class GateServiceTest : public testing::Test {
  protected:
   GateServiceTest() : topology_(topo::build_figure3()) {}
 
-  GateConfig quick_config() const {
-    GateConfig config;
-    config.batch_window = std::chrono::milliseconds(0);
-    return config;
-  }
-
   topo::Topology topology_;
 };
 
 TEST_F(GateServiceTest, PrecheckVerdictsMatchTheChange) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
 
   const auto approved = service.handle_precheck(post("/precheck", kGoodPlan));
   EXPECT_EQ(approved.status, 200);
@@ -66,7 +62,7 @@ TEST_F(GateServiceTest, PrecheckVerdictsMatchTheChange) {
 }
 
 TEST_F(GateServiceTest, BadPlansAnswer400WithoutTouchingTheEmulator) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   EXPECT_EQ(service.handle_precheck(post("/precheck", "")).status, 400);
   EXPECT_EQ(
       service.handle_precheck(post("/precheck", "change x\nset-asn Ghost 1\n"))
@@ -78,7 +74,7 @@ TEST_F(GateServiceTest, BadPlansAnswer400WithoutTouchingTheEmulator) {
 }
 
 TEST_F(GateServiceTest, StaleEpochAnswers409) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   topology_.set_asn(*topology_.find_device("ToR1"), 64999);  // epoch moves
   const auto response = service.handle_precheck(post("/precheck", kGoodPlan));
   EXPECT_EQ(response.status, 409);
@@ -86,7 +82,7 @@ TEST_F(GateServiceTest, StaleEpochAnswers409) {
 }
 
 TEST_F(GateServiceTest, NsgCheckRunsTheSecGuruGate) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   const auto rejected = service.handle_nsg_check(
       post("/nsg-check?vnet=customer&space=10.1.0.0/16&db=1",
            kRestrictiveNsg));
@@ -115,7 +111,7 @@ TEST_F(GateServiceTest, NsgCheckRunsTheSecGuruGate) {
 }
 
 TEST_F(GateServiceTest, GatezSummarizesServing) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   (void)service.handle_precheck(post("/precheck", kGoodPlan));
   const auto response = service.handle_gatez(obs::HttpRequest{});
   EXPECT_EQ(response.status, 200);
@@ -124,47 +120,66 @@ TEST_F(GateServiceTest, GatezSummarizesServing) {
   EXPECT_NE(response.body.find("nsg engines"), std::string::npos);
 }
 
-TEST_F(GateServiceTest, ConcurrentPrechecksCoalesceIntoFewerBatches) {
-  GateConfig config;
-  config.batch_window = std::chrono::milliseconds(100);
-  config.max_batch = 16;
-  GateService service(topology_, config);
+TEST_F(GateServiceTest, ConcurrentPrechecksGetTheOneShotVerdicts) {
+  GateService service(topology_);
+  // Renumbers that keep forwarding intact and ones that collide with a
+  // sibling's ASN, plus link shuts: a mix of approvals and rejections.
+  const std::vector<std::string> plans = {
+      "change renumber ToR1\nset-asn ToR1 64900\n",
+      kBadPlan,
+      "change renumber ToR3\nset-asn ToR3 64901\n",
+      "change down A2\ndown-link ToR2 A2\n",
+      "change collide A1\nset-asn A1 " +
+          std::to_string(topology_.device(*topology_.find_device("A2")).asn) +
+          "\n",
+      "change no-op\n",
+  };
+  std::vector<std::string> expected;
+  const rcdc::PrecheckPipeline one_shot(topology_);
+  for (const std::string& plan : plans) {
+    bool approved = true;
+    for (const rcdc::NetworkChange& change :
+         rcdc::parse_change_plan(plan, topology_)) {
+      approved = approved && one_shot.check(change).approved;
+    }
+    expected.push_back(std::string("decision: ") +
+                       (approved ? "approved" : "rejected"));
+  }
+  EXPECT_NE(std::count(expected.begin(), expected.end(), "decision: approved"),
+            0);
+  EXPECT_NE(std::count(expected.begin(), expected.end(), "decision: rejected"),
+            0);
 
-  constexpr int kClients = 6;
-  std::atomic<int> ok{0};
+  std::vector<obs::HttpResponse> responses(plans.size());
   std::vector<std::thread> clients;
-  for (int i = 0; i < kClients; ++i) {
+  for (std::size_t i = 0; i < plans.size(); ++i) {
     clients.emplace_back([&, i] {
-      const std::string plan = "change renumber ToR1 v" + std::to_string(i) +
-                               "\nset-asn ToR1 " + std::to_string(64900 + i) +
-                               "\n";
-      if (service.handle_precheck(post("/precheck", plan)).status == 200) {
-        ++ok;
-      }
+      responses[i] = service.handle_precheck(post("/precheck", plans[i]));
     });
   }
   for (auto& client : clients) client.join();
-  EXPECT_EQ(ok.load(), kClients);
-  EXPECT_EQ(service.prechecks_served(),
-            static_cast<std::uint64_t>(kClients));
-  // The whole point of the window: fewer emulator batches than requests.
-  EXPECT_LT(service.precheck_batches(),
-            static_cast<std::uint64_t>(kClients));
+  for (std::size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_EQ(responses[i].status, 200) << plans[i];
+    EXPECT_EQ(responses[i].body.substr(0, responses[i].body.find('\n')),
+              expected[i])
+        << plans[i];
+  }
+  EXPECT_EQ(service.prechecks_served(), plans.size());
+  // No coalescing: one session call per request.
+  EXPECT_EQ(service.precheck_batches(), plans.size());
 }
 
 TEST_F(GateServiceTest, ConcurrentAnswersEqualSerializedAnswers) {
-  // The ISSUE's correctness cross-check, at the service layer: the same
-  // request mix answered (a) through the concurrent batcher and (b) one
-  // at a time by a fresh gate must produce byte-identical bodies.
+  // The correctness cross-check at the service layer: the same request mix
+  // answered (a) by concurrent callers and (b) one at a time by a fresh
+  // gate must produce byte-identical bodies.
   std::vector<std::string> plans;
   plans.push_back(kGoodPlan);
   plans.push_back(kBadPlan);
   plans.push_back("change renumber ToR3\nset-asn ToR3 64901\n");
   plans.push_back("change down A2\ndown-link ToR2 A2\n");
 
-  GateConfig config;
-  config.batch_window = std::chrono::milliseconds(50);
-  GateService concurrent(topology_, config);
+  GateService concurrent(topology_);
   std::vector<std::string> concurrent_bodies(plans.size());
   std::vector<std::thread> clients;
   for (std::size_t i = 0; i < plans.size(); ++i) {
@@ -175,7 +190,7 @@ TEST_F(GateServiceTest, ConcurrentAnswersEqualSerializedAnswers) {
   }
   for (auto& client : clients) client.join();
 
-  GateService serialized(topology_, quick_config());
+  GateService serialized(topology_);
   for (std::size_t i = 0; i < plans.size(); ++i) {
     EXPECT_EQ(concurrent_bodies[i],
               serialized.handle_precheck(post("/precheck", plans[i])).body)
@@ -184,7 +199,7 @@ TEST_F(GateServiceTest, ConcurrentAnswersEqualSerializedAnswers) {
 }
 
 TEST_F(GateServiceTest, AttachServesOverRealSockets) {
-  GateService service(topology_, quick_config());
+  GateService service(topology_);
   obs::HttpServerConfig http_config;
   obs::HttpServer server(http_config);
   service.attach(server);

@@ -19,6 +19,7 @@
 #include "routing/bgp_sim.hpp"
 #include "topology/clos_builder.hpp"
 #include "topology/faults.hpp"
+#include "bgp_churn.hpp"
 
 namespace dcv::routing {
 namespace {
@@ -29,61 +30,6 @@ using topo::DeviceId;
 using topo::DeviceRole;
 using topo::FaultInjector;
 using topo::Topology;
-
-ClosParams random_params(std::mt19937_64& rng) {
-  std::uniform_int_distribution<std::uint32_t> clusters(1, 3);
-  std::uniform_int_distribution<std::uint32_t> tors(1, 3);
-  std::uniform_int_distribution<std::uint32_t> leaves(1, 3);
-  std::uniform_int_distribution<std::uint32_t> spines(1, 2);
-  std::uniform_int_distribution<std::uint32_t> regionals(2, 4);
-  return ClosParams{.clusters = clusters(rng),
-                    .tors_per_cluster = tors(rng),
-                    .leaves_per_cluster = leaves(rng),
-                    .spines_per_plane = spines(rng),
-                    .regional_spines = regionals(rng)};
-}
-
-/// One random mutation drawn from the production churn mix: link failures,
-/// session shutdowns, device faults, ASN drift, and repairs of earlier
-/// faults (FaultInjector::repair clears and re-applies the remaining set,
-/// which stresses the reconverge diff with whole-topology state swings).
-void churn_step(Topology& topology, FaultInjector& injector,
-                std::mt19937_64& rng) {
-  std::uniform_real_distribution<double> pick(0.0, 1.0);
-  const double p = pick(rng);
-  if (p < 0.30) {
-    injector.random_link_failures(1);
-  } else if (p < 0.50) {
-    injector.random_bgp_shutdowns(1);
-  } else if (p < 0.70) {
-    static constexpr DeviceFaultKind kKinds[] = {
-        DeviceFaultKind::kRibFibInconsistency,
-        DeviceFaultKind::kLayer2InterfaceBug,
-        DeviceFaultKind::kEcmpSingleNextHop,
-        DeviceFaultKind::kRejectDefaultRoute,
-    };
-    static constexpr DeviceRole kRoles[] = {
-        DeviceRole::kTor, DeviceRole::kLeaf, DeviceRole::kSpine};
-    std::uniform_int_distribution<std::size_t> kind_pick(0, 3);
-    std::uniform_int_distribution<std::size_t> role_pick(0, 2);
-    injector.random_device_faults(1, kRoles[role_pick(rng)],
-                                  kKinds[kind_pick(rng)]);
-  } else if (p < 0.85 && !injector.records().empty()) {
-    std::uniform_int_distribution<std::size_t> record_pick(
-        0, injector.records().size() - 1);
-    injector.repair(record_pick(rng));
-  } else {
-    // ASN drift: the §2.6.2 migration misconfiguration — reassign a random
-    // non-regional device's ASN within the private range.
-    std::uniform_int_distribution<std::size_t> device_pick(
-        0, topology.device_count() - 1);
-    std::uniform_int_distribution<topo::Asn> asn_pick(64500, 65535);
-    const DeviceId d = static_cast<DeviceId>(device_pick(rng));
-    if (topology.device(d).role != DeviceRole::kRegionalSpine) {
-      topology.set_asn(d, asn_pick(rng));
-    }
-  }
-}
 
 /// Asserts warm engine state ≡ cold reference on every device.
 void expect_equal(const BgpSimulator& sim, const ReferenceBgpSimulator& ref,

@@ -10,6 +10,7 @@
 //   GET  /gatez      gate counters; plus /metrics /healthz /readyz
 //
 // Exit 0 on clean shutdown.
+#include <chrono>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -33,8 +34,6 @@ void usage() {
       "                       port is printed on startup)\n"
       "  --threads N          precheck validation threads (default 0 =\n"
       "                       hardware-aware)\n"
-      "  --batch-window-ms N  precheck coalescing window (default 2)\n"
-      "  --max-batch N        changes per emulator batch (default 16)\n"
       "  --nsg-engines N      pooled FastEngines for /nsg-check (default 2)\n"
       "  --http-workers N     handler threads (default 4)\n"
       "  --http-queue N       admission queue bound; beyond it requests\n"
@@ -66,8 +65,6 @@ int main(int argc, char** argv) {
   std::string topology_path;
   std::uint16_t port = 0;
   unsigned threads = 0;
-  std::uint64_t batch_window_ms = 2;
-  std::size_t max_batch = 16;
   std::size_t nsg_engines = 2;
   unsigned http_workers = 4;
   std::size_t http_queue = 32;
@@ -90,10 +87,6 @@ int main(int argc, char** argv) {
       port = static_cast<std::uint16_t>(std::stoul(value()));
     } else if (flag == "--threads") {
       threads = static_cast<unsigned>(std::stoul(value()));
-    } else if (flag == "--batch-window-ms") {
-      batch_window_ms = std::stoull(value());
-    } else if (flag == "--max-batch") {
-      max_batch = std::stoull(value());
     } else if (flag == "--nsg-engines") {
       nsg_engines = std::stoull(value());
     } else if (flag == "--http-workers") {
@@ -127,8 +120,6 @@ int main(int argc, char** argv) {
     obs::MetricsRegistry registry;
     gate::GateConfig gate_config;
     gate_config.precheck_threads = threads;
-    gate_config.batch_window = std::chrono::milliseconds(batch_window_ms);
-    gate_config.max_batch = max_batch;
     gate_config.nsg_engines = nsg_engines;
     gate_config.metrics = &registry;
     std::cerr << "dcv_gate: building warm precheck session ("
@@ -166,8 +157,7 @@ int main(int argc, char** argv) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
     server.stop();
-    std::cout << "dcv_gate: " << service.prechecks_served() << " prechecks ("
-              << service.precheck_batches() << " batches), "
+    std::cout << "dcv_gate: " << service.prechecks_served() << " prechecks, "
               << service.nsg_checks_served() << " nsg checks"
               << (g_stop ? " (stopped by signal)" : "") << "\n";
     return 0;

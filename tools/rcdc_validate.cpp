@@ -82,7 +82,7 @@ void usage() {
       "                       unless --cycles bounds them. Non-distributed\n"
       "                       serving also mounts the change gate:\n"
       "                       POST /precheck (warm emulated prechecks,\n"
-      "                       coalesced into batches), POST /nsg-check\n"
+      "                       one at a time), POST /nsg-check\n"
       "                       (pooled SecGuru), GET /gatez\n"
       "  --http-workers N     HTTP handler threads (default 4)\n"
       "  --http-queue N       request admission queue; beyond it requests\n"
@@ -791,7 +791,7 @@ int main(int argc, char** argv) {
                   << server->port() << "\n";
         std::cerr << "gate: POST /precheck, POST /nsg-check, GET /gatez "
                      "(base epoch "
-                  << gate_service->session().base_epoch() << ")\n";
+                  << gate_service->base_epoch() << ")\n";
       }
       std::signal(SIGINT, on_signal);
       std::signal(SIGTERM, on_signal);
